@@ -13,17 +13,26 @@ Verma oracle in the test suite anchors them at low level.
 
 Evaluation of Tr e^{-2 pi t (L0 - c/24)} truncates the series at the stored
 cutoff and reports a certified tail bound alongside the value, using
-p(k) <= exp(pi sqrt(2k/3)).  For small t the direct sum converges too
-slowly, so the S-matrix turns chi(it) into sum_nu S_{rho nu} chi_nu(i/t),
-which converges fast; the residual of that identity over a t grid is the
-certification that the S matrix of :mod:`cftinv.modular_data` is the one
-acting on characters.
+p(k) <= exp(pi sqrt(2k/3)).  The sum itself stops earlier, after the first
+K terms, where K is the smallest n whose tail bound past index n - 1 is below
+2^-(prec+3).  A character series has a_0 = 1 and 0 <= a_k <= p(k), so the
+running sum is >= 1 and every dropped term lies below half an ulp of it:
+under round-to-nearest adding it changes no bit.  The truncated sum therefore
+equals the sum over the whole stored series, and the reported error, still
+computed from the stored cutoff, is unchanged too.
+
+For small t the direct sum converges too slowly, so the S-matrix turns
+chi(it) into sum_nu S_{rho nu} chi_nu(i/t), which converges fast: at 50
+digits and 1/t >= 20 only a_0 counts.  The residual of that identity over a
+t grid is the certification that the S matrix of :mod:`cftinv.modular_data`
+is the one acting on characters.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property, lru_cache
 
 from mpmath import mp, mpf, exp, pi, sqrt
 
@@ -63,6 +72,11 @@ class CharacterSeries:
     @property
     def cutoff(self) -> int:
         return len(self.coeffs) - 1
+
+    @cached_property
+    def _sums_from_one(self) -> bool:
+        """a_0 >= 1 and no negative coefficient: every partial sum is >= 1."""
+        return self.coeffs[0] >= 1 and min(self.coeffs) >= 0
 
 
 def _theta_terms(m: int, r: int, s: int, n: int):
@@ -134,6 +148,34 @@ def required_cutoff(t, tol, h=0, c=0, shifted=True) -> int:
     raise InsufficientCutoffError(f"no practical cutoff certifies tol={tol} at t={t}")
 
 
+@lru_cache(maxsize=256)
+def _terms_that_count(t, prec: int) -> int:
+    """Smallest n with _tail_bound(n - 1, t, 0, 0, unshifted) < 2^-(prec+3).
+
+    Past index n - 1 the tail sum_k p(k) q^k is below an eighth of half an
+    ulp of any number >= 1 at ``prec`` bits.  The bound is None (no
+    certificate) up to some n and strictly decreasing after it, so a
+    doubling search followed by bisection finds n.  Cached because the S
+    transform evaluates every sector at the same t.
+    """
+    eps = mpf(2) ** -(prec + 3)
+
+    def small(n):
+        b = _tail_bound(n - 1, t, 0, 0, shifted=False)
+        return b is not None and b < eps
+
+    lo, hi = 0, 1
+    while not small(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if small(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 @dataclass(frozen=True)
 class TraceValue:
     """An evaluated trace together with its certified absolute error."""
@@ -149,6 +191,12 @@ def evaluate(series: CharacterSeries, t, shifted: bool = True,
     ``shifted=False`` drops the c/24 shift and returns Tr e^{-2 pi t L0}.
     Raises :class:`InsufficientCutoffError` when the certified tail bound at
     the stored cutoff exceeds ``tol`` (default: 10^(6-dps) of the value scale).
+
+    The sum stops after the first ``_terms_that_count(t, mp.prec)`` terms:
+    with a_0 >= 1 and 0 <= a_k <= p(k) each later term is below half an ulp
+    of the running sum and would not change it, so value and error are
+    bit for bit those of the sum over every stored coefficient.  A series
+    with a_0 < 1 or a negative coefficient is summed in full.
     """
     t = mpf(t)
     if t <= 0:
@@ -159,7 +207,10 @@ def evaluate(series: CharacterSeries, t, shifted: bool = True,
     q = exp(-2 * pi * t)
     acc = mpf(0)
     qp = mpf(1)
-    for a in series.coeffs:
+    coeffs = series.coeffs
+    if series._sums_from_one:
+        coeffs = coeffs[:_terms_that_count(t, mp.prec)]
+    for a in coeffs:
         if a:
             acc += a * qp
         qp *= q
@@ -184,7 +235,7 @@ def evaluate_small_t(md: ModularData, all_series, rho, t,
     t = mpf(t)
     if not 0 < t <= 1:
         raise ValueError("the transform route needs 0 < t <= 1")
-    idx = md.model.sector_index(rho) if not isinstance(rho, int) else rho
+    idx = md.model.sector_index(rho)
     acc = mpf(0)
     err = mpf(0)
     for nu, series in enumerate(all_series):

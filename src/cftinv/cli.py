@@ -487,8 +487,17 @@ def cmd_bh(cfg: RunConfig, mass, area, central_charge) -> int:
 
 # -------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose rejections are usage errors under the exit
+    contract (exit 1, one-line JSON) instead of argparse's exit 2 with
+    usage text.  Subparsers inherit the class."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="cftinv",
         description="modular data, characters and spectral invariants of the "
                     "c < 1 minimal models; verification batteries for the "
@@ -570,8 +579,8 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         cfg = _config_from_args(args)
     except (ConfigError, ValueError, OSError) as exc:
         sys.stderr.write(json.dumps({"error": str(exc), "exit": EXIT_CONFIG})

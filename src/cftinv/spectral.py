@@ -60,15 +60,23 @@ def sector_log_trace(md: ModularData, all_series, rho, shifted=False):
     """t -> log Tr e^{-2 pi t L0,rho} (and its certified-error companion).
 
     Uses the S-transform route for t < 1/2 and the direct series otherwise.
-    Returns (fn, err_fn).
+    Returns (fn, err_fn).  Both share one evaluation per (t, working
+    precision), so a fit that asks for value and error at every grid point
+    evaluates each point once.
     """
-    idx = md.model.sector_index(rho) if not isinstance(rho, int) else rho
+    idx = md.model.sector_index(rho)
+    seen = {}
 
     def _trace(t):
         t = mpf(t)
-        if t < mpf("0.5"):
-            return evaluate_small_t(md, all_series, idx, t, shifted=shifted)
-        return evaluate(all_series[idx], t, shifted=shifted)
+        key = (t, mp.prec)
+        if key not in seen:
+            if t < mpf("0.5"):
+                seen[key] = evaluate_small_t(md, all_series, idx, t,
+                                             shifted=shifted)
+            else:
+                seen[key] = evaluate(all_series[idx], t, shifted=shifted)
+        return seen[key]
 
     def fn(t):
         return log(_trace(t).value)
@@ -145,8 +153,8 @@ def dimension_estimate(trace_fn, t):
 def kw_ratio(md: ModularData, all_series, rho, sigma, t):
     """Ratio Tr e^{-2 pi t L0,rho} / Tr e^{-2 pi t L0,sigma} of unshifted
     traces; converges to d(rho)/d(sigma) as t -> 0+."""
-    i = md.model.sector_index(rho) if not isinstance(rho, int) else rho
-    j = md.model.sector_index(sigma) if not isinstance(sigma, int) else sigma
+    i = md.model.sector_index(rho)
+    j = md.model.sector_index(sigma)
     num = evaluate_small_t(md, all_series, i, mpf(t), shifted=False).value
     den = evaluate_small_t(md, all_series, j, mpf(t), shifted=False).value
     return num / den
@@ -177,7 +185,7 @@ def index_density_derivative(log_trace_t, t, step=None, richardson=True):
 
 def sector_log_trace_bare(md: ModularData, all_series, rho):
     """t -> log Tr e^{-t L0,rho} (no 2 pi), via the transform route."""
-    idx = md.model.sector_index(rho) if not isinstance(rho, int) else rho
+    idx = md.model.sector_index(rho)
     two_pi = 2 * pi
 
     def fn(t):

@@ -5,10 +5,48 @@ by brute force: build the Shapovalov Gram matrix of the level-n Verma basis
 with exact rational arithmetic and take its rank.  This never touches the
 theta-style coefficient formula under test; it only uses the defining
 bracket relations.
+
+``evaluate_full_sum`` is the character evaluation that sums every stored
+coefficient; the library's ``evaluate`` stops at the last term that can
+change a bit and must agree with it exactly.
 """
 
 from fractions import Fraction
 from functools import lru_cache
+
+from mpmath import mp, mpf, exp, pi
+
+from cftinv.characters import TraceValue, _tail_bound, required_cutoff
+from cftinv.errors import InsufficientCutoffError
+from cftinv.modular_data import mpq
+
+
+def evaluate_full_sum(series, t, shifted=True, tol=None):
+    """chi(it) summed over all of ``series.coeffs``, with the certified error
+    of :func:`cftinv.characters.evaluate`."""
+    t = mpf(t)
+    if t <= 0:
+        raise ValueError("t must be positive")
+    h = mpq(series.sector.h)
+    c24 = mpq(series.c) / 24
+    tail = _tail_bound(series.cutoff, t, h, c24, shifted)
+    q = exp(-2 * pi * t)
+    acc = mpf(0)
+    qp = mpf(1)
+    for a in series.coeffs:
+        if a:
+            acc += a * qp
+        qp *= q
+    front = exp(-2 * pi * t * (h - (c24 if shifted else 0)))
+    value = front * acc
+    if tol is None:
+        tol = abs(value) * mpf(10) ** (6 - mp.dps) + mpf(10) ** (-2 * mp.dps)
+    if tail is None or tail > tol:
+        raise InsufficientCutoffError(
+            f"cutoff {series.cutoff} cannot certify tolerance {tol} at t={t}",
+            required_cutoff=required_cutoff(t, tol, h, c24, shifted))
+    rounding = abs(value) * mpf(2) ** (4 - mp.prec) * (series.cutoff + 2)
+    return TraceValue(value=value, error=tail + rounding)
 
 
 def partitions_of(n, largest=None):

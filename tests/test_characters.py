@@ -1,11 +1,12 @@
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf, fabs, log, pi
+from mpmath import mp, mpf, fabs, log, pi
 
 import cftinv as ci
+from cftinv import characters
 from cftinv.errors import InsufficientCutoffError
-from oracles import irreducible_graded_dims
+from oracles import evaluate_full_sum, irreducible_graded_dims
 
 
 def test_partition_numbers():
@@ -71,6 +72,40 @@ def test_evaluate_single_term():
     tv = ci.evaluate(s, 1, tol=mpf("0.1"))
     assert fabs(tv.value - 1) < mpf("1e-45")
     assert tv.error < mpf("0.1")
+
+
+@pytest.mark.parametrize("m", [3, 4, 5])
+def test_evaluate_bit_identical_to_full_sum(m):
+    """Stopping at the last term that can change a bit gives the value and
+    the certified error of the sum over every stored coefficient, exactly."""
+    model = ci.build_minimal_model(m)
+    series = ci.all_character_series(model, 400)
+    for dps in (30, 50, 100):
+        with mp.workdps(dps):
+            for t in ("0.3", "0.5", "1", "2", "20", "250"):
+                for shifted in (True, False):
+                    for s in series:
+                        got = ci.evaluate(s, t, shifted=shifted)
+                        want = evaluate_full_sum(s, t, shifted=shifted)
+                        assert got.value == want.value, (m, dps, t, shifted)
+                        assert got.error == want.error, (m, dps, t, shifted)
+
+
+@pytest.mark.parametrize("coeffs", [
+    (0,) * 30 + (1,),                # a_0 = 0: only a term past K is nonzero
+    (1, -1) + (0,) * 28 + (1,),      # a negative coefficient
+])
+def test_evaluate_hand_built_series_sums_in_full(coeffs, monkeypatch):
+    def no_stopping_rule(t, prec):
+        raise AssertionError("stopping rule applied to a hand-built series")
+
+    monkeypatch.setattr(characters, "_terms_that_count", no_stopping_rule)
+    sec = ci.Sector(r=0, s=0, h=Fraction(0), d=mpf(1))
+    s = ci.CharacterSeries(sector=sec, c=Fraction(0), coeffs=coeffs)
+    got = ci.evaluate(s, 2, tol=mpf(1))
+    want = evaluate_full_sum(s, 2, tol=mpf(1))
+    assert got.value == want.value and got.error == want.error
+    assert got.value > 0
 
 
 def test_self_dual_point(md3, series3):

@@ -168,6 +168,22 @@ def test_precision_floor(capsys):
     assert "precision" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("model", "--m", "3.5"),
+    ("model", "--no-such-flag"),
+    ("invariants", "--format", "xml"),
+    ("no-such-command",),
+    (),
+])
+def test_argparse_rejections_follow_exit_contract(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1
+    doc = json.loads(err)
+    assert doc["exit"] == 1 and doc["error"].startswith("cftinv")
+
+
 def test_malformed_inputs_never_panic(capsys, tmp_path):
     # unknown sector name
     code, _, err = run(capsys, "invariants", "--m", "3", "--sector", "banana")

@@ -91,6 +91,28 @@ def test_sector_log_trace_error_channel(md3_mod, series3_small_mod):
         assert 0 < e < mpf("1e-30")
 
 
+def test_sector_log_trace_evaluates_each_point_once(md3_mod, series3_small_mod,
+                                                    monkeypatch):
+    """fn, err_fn and the dimension estimate of a fit share one evaluation
+    per grid point: sectors x distinct t character evaluations in all."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return ci.evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(ci.characters, "evaluate", counted)
+    monkeypatch.setattr(ci.spectral, "evaluate", counted)
+    fn, err = ci.sector_log_trace(md3_mod, series3_small_mod, 0)
+    ci.fit_invariants(fn, ci.DEFAULT_FIT_GRID, err_fn=err)
+    ci.spectral.trace_csv_rows(fn, ci.DEFAULT_FIT_GRID)
+    assert len(calls) == 3 * len(ci.DEFAULT_FIT_GRID)
+    calls.clear()
+    ci.fit_invariants(fn, ["0.6", "0.7", "0.8", "0.9"], err_fn=err,
+                      residual_floor=mpf(1))
+    assert len(calls) == 4                       # direct route, one sector
+
+
 def test_fit_rejects_out_of_regime(md3_mod, series3_small_mod):
     fn, err = ci.sector_log_trace(md3_mod, series3_small_mod, 0)
     with pytest.raises(NonEllipticDataError):
