@@ -1,0 +1,62 @@
+"""Layer micro-benchmarks of ``cftinv.lab`` (pytest-benchmark).
+
+Run from the root of a checkout; the directory sits outside ``testpaths``,
+so the test suite never collects it:
+
+    PYTHONPATH=src python -m pytest benchmarks/bench_lab.py \
+        --benchmark-json=after.json
+
+``benchmarks/compact.py`` folds two such files (before, after) into a
+committed ``BENCH_<n>.json``.  All cases run at 50 digits, the CLI's
+default, on seeded random densities; the inputs (and the canonical flow of
+the index product) are built outside the timed call.
+"""
+
+import random
+
+import pytest
+from mpmath import mp, mpf
+
+import cftinv as ci
+from cftinv import lab
+
+
+@pytest.fixture(autouse=True)
+def _fifty_digits():
+    with mp.workdps(50):
+        yield
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 4, 4)], ids=str)
+def test_index_product(benchmark, dims):
+    rng = random.Random(1)
+    triple = ci.FiniteFactorTriple(*dims)
+    rho1 = lab.random_density(dims[0], rng)
+    rho3 = lab.random_density(dims[2], rng)
+    flow = ci.canonical_flow(triple, rho1, rho3)
+    out = benchmark(ci.index_product, triple, rho1, rho3, flow)
+    assert out.deviation < mpf("1e-8")
+
+
+def test_araki_relative_entropy(benchmark):
+    rng = random.Random(2)
+    r1, r2 = lab.random_density(6, rng), lab.random_density(6, rng)
+    assert benchmark(ci.araki_relative_entropy, r1, r2) > 0
+
+
+def test_modular_implementation_residual(benchmark):
+    rng = random.Random(3)
+    der = ci.spatial_derivative(lab.random_density(12, rng),
+                                lab.random_density(3, rng), (3, 4, 3), (0, 1))
+    r1, r2 = benchmark.pedantic(lab.modular_implementation_residual,
+                                (der, mpf("0.37")), rounds=5, iterations=1)
+    assert max(r1, r2) < mpf("1e-18")
+
+
+def test_entropy_derivative_identity(benchmark):
+    rng = random.Random(4)
+    triple = ci.FiniteFactorTriple(3, 4, 3)
+    rho1 = lab.random_density(3, rng)
+    rep = benchmark.pedantic(ci.entropy_derivative_identity, (triple, rho1),
+                             rounds=5, iterations=1)
+    assert rep.identity_residual < mpf("1e-6")

@@ -22,10 +22,19 @@ for the weight psi_1 on M1, and its mass is recovered by solving that
 equation.  With this orientation the index product, the symmetric-split
 masses, and the derivative identity below all close numerically; reports
 carry the convention tag so the orientation is auditable.
+
+One eigendecomposition per density: :func:`spectrum` calls ``eighe`` once
+and applies the positivity/condition guard, and every f(A) is read off the
+resulting :class:`Spectrum` as Q diag(f(lambda)) Q*.  ``eighe`` is
+deterministic at a given precision, so reusing a spectrum gives the same
+bits, and the same report bytes, as decomposing A again.  The oracle
+:func:`relative_entropy_oracle` and the flow hypothesis check decompose on
+their own, so they share no state with what they check.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -65,13 +74,6 @@ def kron(a, b):
     return out
 
 
-def kron_all(mats):
-    out = mats[0]
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
-
-
 def max_abs(a):
     return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
 
@@ -80,71 +82,77 @@ def trace(a):
     return sum(a[i, i] for i in range(a.rows))
 
 
-def herm_eig(a):
+@dataclass(frozen=True)
+class Spectrum:
+    """A Hermitian matrix as Q diag(evals) Q*: decomposed once by
+    :func:`spectrum`, then every function of it is read off here."""
+
+    evals: list
+    q: object
+
+    def fun(self, f):
+        """f(A) = Q diag(f(lambda_i)) Q*."""
+        d = matrix(len(self.evals), len(self.evals))
+        for i, lam in enumerate(self.evals):
+            d[i, i] = f(lam)
+        return self.q * d * dag(self.q)
+
+    def log(self):
+        return self.fun(log)
+
+    def pow(self, s):
+        """A^s for real or complex s (A positive)."""
+        return self.fun(lambda lam: exp(s * log(lam)))
+
+
+def spectrum(a, what=None, error=RankDeficiencyError) -> Spectrum:
+    """Eigendecomposition of Hermitian ``a``.  With ``what`` given, ``a`` must
+    be positive with condition number at most CONDITION_GUARD, else
+    ``error`` is raised naming ``what``."""
     e, q = eighe(a)
-    return [e[i] for i in range(len(e))], q
+    out = Spectrum([e[i] for i in range(len(e))], q)
+    if what is not None:
+        lo, hi = min(out.evals), max(out.evals)
+        if lo <= 0 or hi / lo > CONDITION_GUARD:
+            raise error(
+                f"{what}: eigenvalues in [{mp.nstr(lo, 5)}, {mp.nstr(hi, 5)}] "
+                "fail the positivity/condition guard")
+    return out
 
 
 def herm_fun(a, f):
     """f(A) for Hermitian A through its eigendecomposition."""
-    evals, q = herm_eig(a)
-    d = matrix(len(evals), len(evals))
-    for i, lam in enumerate(evals):
-        d[i, i] = f(lam)
-    return q * d * dag(q)
-
-
-def _guard_positive(evals, what):
-    lo, hi = min(evals), max(evals)
-    if lo <= 0 or hi / lo > CONDITION_GUARD:
-        raise RankDeficiencyError(
-            f"{what}: eigenvalues in [{mp.nstr(lo, 5)}, {mp.nstr(hi, 5)}] "
-            "fail the positivity/condition guard")
+    return spectrum(a).fun(f)
 
 
 def mat_log(a, what="density"):
-    evals, q = herm_eig(a)
-    _guard_positive(evals, what)
-    d = matrix(len(evals), len(evals))
-    for i, lam in enumerate(evals):
-        d[i, i] = log(lam)
-    return q * d * dag(q)
+    return spectrum(a, what).log()
 
 
 def mat_pow(a, s, what="density"):
     """A^s for Hermitian positive A and real or complex s."""
-    evals, q = herm_eig(a)
-    _guard_positive(evals, what)
-    d = matrix(len(evals), len(evals))
-    for i, lam in enumerate(evals):
-        d[i, i] = exp(s * log(lam))
-    return q * d * dag(q)
+    return spectrum(a, what).pow(s)
+
+
+def _strides(dims):
+    """Row-major strides of a multi-index over ``dims``."""
+    out = [1] * len(dims)
+    for l in range(len(dims) - 2, -1, -1):
+        out[l] = out[l + 1] * dims[l + 1]
+    return out
 
 
 def embed(op, legs, dims):
     """Dense operator on the full product space acting as ``op`` on the
     chosen legs and as the identity elsewhere.  ``legs`` may be any subset."""
     legs = tuple(legs)
-    n = 1
-    for d in dims:
-        n *= d
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
+    n = math.prod(dims)
+    strides = _strides(dims)
 
     def split(idx):
         return tuple((idx // strides[l]) % dims[l] for l in range(len(dims)))
 
-    sub_dims = [dims[l] for l in legs]
-    sub_strides = []
-    acc = 1
-    for d in reversed(sub_dims):
-        sub_strides.append(acc)
-        acc *= d
-    sub_strides = list(reversed(sub_strides))
+    sub_strides = _strides([dims[l] for l in legs])
 
     def subidx(tup):
         return sum(tup[k] * sub_strides[k] for k in range(len(legs)))
@@ -166,22 +174,9 @@ def reduced_density(vec, dims, keep):
     """Partial trace of |vec><vec| onto the chosen legs."""
     keep = tuple(keep)
     rest = [l for l in range(len(dims)) if l not in keep]
-    strides = []
-    acc = 1
-    for d in reversed(dims):
-        strides.append(acc)
-        acc *= d
-    strides = list(reversed(strides))
-    dk = 1
-    for l in keep:
-        dk *= dims[l]
-    keep_dims = [dims[l] for l in keep]
-    keep_strides = []
-    acc = 1
-    for d in reversed(keep_dims):
-        keep_strides.append(acc)
-        acc *= d
-    keep_strides = list(reversed(keep_strides))
+    strides = _strides(dims)
+    dk = math.prod(dims[l] for l in keep)
+    keep_strides = _strides([dims[l] for l in keep])
     n = len(vec)
     rho = matrix(dk, dk)
     comp = []
@@ -245,10 +240,6 @@ class FiniteFactorTriple:
         return (self.d1, self.d2, self.d3)
 
     @property
-    def total_dim(self):
-        return self.d1 * self.d2 * self.d3
-
-    @property
     def index(self):
         """Kosaki index of N1 in M1 for the trace-preserving expectation."""
         return mpf(self.d2) ** 2
@@ -266,12 +257,9 @@ class VectorState:
     @staticmethod
     def make(vec, dims, legs) -> "VectorState":
         rho = reduced_density(vec, dims, legs)
-        evals, _ = herm_eig(rho)
-        lo, hi = min(evals), max(evals)
-        if lo <= 0 or hi / lo > CONDITION_GUARD:
-            raise NotSeparatingError(
-                "reduced density on the designated legs is rank deficient; "
-                "the vector is not separating for that algebra")
+        # a rank-deficient marginal means the vector is not separating
+        spectrum(rho, "reduced density on the designated legs",
+                 NotSeparatingError)
         return VectorState(vector=vec, dims=tuple(dims), legs=tuple(legs),
                            density=rho)
 
@@ -302,29 +290,19 @@ class FlowGenerator:
             elif any(l in legs for l in bl):
                 raise HypothesisViolationError(
                     f"flow block {bl} straddles the split at legs {legs}")
-        acc = matrix(_prod(sub), _prod(sub))
+        acc = matrix(math.prod(sub), math.prod(sub))
         for pos, k in mats:
             acc += embed(k, pos, sub)
-        return acc
-
-    def k_dense(self):
-        n = _prod(self.dims)
-        acc = matrix(n, n)
-        for bl, k in self.blocks:
-            if k is not None:
-                acc += embed(k, bl, self.dims)
-        for i in range(n):
-            acc[i, i] += self.const
         return acc
 
     def exp_factor(self, s):
         """e^{sK} as per-leg-block dense factors, returned as one dense
         matrix on the full space (cheap: exponentials stay per block)."""
-        n = _prod(self.dims)
+        n = math.prod(self.dims)
         out = None
         for bl, k in self.blocks:
             if k is None:
-                f = eye(_prod([self.dims[l] for l in bl]))
+                f = eye(math.prod(self.dims[l] for l in bl))
             else:
                 f = herm_fun(k, lambda lam: exp(s * lam))
             f = embed(f, bl, self.dims)
@@ -332,13 +310,6 @@ class FlowGenerator:
         if out is None:
             out = eye(n)
         return exp(s * self.const) * out
-
-
-def _prod(xs):
-    acc = 1
-    for x in xs:
-        acc *= x
-    return acc
 
 
 def flow_from_legs(dims, leg_generators, const=mpf(0)) -> FlowGenerator:
@@ -361,12 +332,15 @@ def canonical_flow(triple: FiniteFactorTriple, rho1, rho3) -> FlowGenerator:
 @dataclass(frozen=True)
 class SpatialDerivative:
     """d(phi)/d(psi) = rho_phi (x) rho_psi^{-1} for phi on the legs-R algebra
-    and psi on the complementary algebra."""
+    and psi on the complementary algebra, with the spectra of both densities
+    (build it with :func:`spatial_derivative`, which guards them)."""
 
     dims: tuple
     legs: tuple            # legs carrying phi
     rho_phi: object
     rho_psi: object
+    spec_phi: Spectrum
+    spec_psi: Spectrum
 
     @property
     def complement(self):
@@ -374,31 +348,28 @@ class SpatialDerivative:
 
     def dense(self):
         a = embed(self.rho_phi, self.legs, self.dims)
-        b = embed(mat_pow(self.rho_psi, -1, "rho_psi"), self.complement, self.dims)
+        b = embed(self.spec_psi.pow(-1), self.complement, self.dims)
         return a * b
 
     def power_it(self, t):
         """(d phi/d psi)^{it}, a unitary."""
-        a = embed(mat_pow(self.rho_phi, 1j * mpf(t), "rho_phi"), self.legs, self.dims)
-        b = embed(mat_pow(self.rho_psi, -1j * mpf(t), "rho_psi"),
-                  self.complement, self.dims)
+        a = embed(self.spec_phi.pow(1j * mpf(t)), self.legs, self.dims)
+        b = embed(self.spec_psi.pow(-1j * mpf(t)), self.complement, self.dims)
         return a * b
 
     def inverse(self) -> "SpatialDerivative":
         return SpatialDerivative(dims=self.dims, legs=self.complement,
-                                 rho_phi=self.rho_psi, rho_psi=self.rho_phi)
+                                 rho_phi=self.rho_psi, rho_psi=self.rho_phi,
+                                 spec_phi=self.spec_psi, spec_psi=self.spec_phi)
 
 
 def spatial_derivative(rho_phi, rho_psi, dims, legs) -> SpatialDerivative:
     """Build d(phi)/d(psi); both densities must be full rank (else the state
     is not separating and the derivative is singular)."""
-    for rho, name in ((rho_phi, "phi"), (rho_psi, "psi")):
-        evals, _ = herm_eig(rho)
-        lo, hi = min(evals), max(evals)
-        if lo <= 0 or hi / lo > CONDITION_GUARD:
-            raise NotSeparatingError(f"density of {name} is rank deficient")
-    return SpatialDerivative(dims=tuple(dims), legs=tuple(legs),
-                             rho_phi=rho_phi, rho_psi=rho_psi)
+    return SpatialDerivative(
+        dims=tuple(dims), legs=tuple(legs), rho_phi=rho_phi, rho_psi=rho_psi,
+        spec_phi=spectrum(rho_phi, "density of phi", NotSeparatingError),
+        spec_psi=spectrum(rho_psi, "density of psi", NotSeparatingError))
 
 
 def modular_implementation_residual(der: SpatialDerivative, t, x=None, y=None):
@@ -409,16 +380,16 @@ def modular_implementation_residual(der: SpatialDerivative, t, x=None, y=None):
     comp = der.complement
     rng = random.Random(0xD1CE)
     if x is None:
-        x = random_density(_prod([dims[l] for l in legs]), rng)
+        x = random_density(math.prod(dims[l] for l in legs), rng)
     if y is None:
-        y = random_density(_prod([dims[l] for l in comp]), rng)
+        y = random_density(math.prod(dims[l] for l in comp), rng)
     u = der.power_it(t)
     ui = der.power_it(-t)
     lhs1 = u * embed(x, legs, dims) * ui
-    s1 = mat_pow(der.rho_phi, 1j * mpf(t), "rho_phi")
+    s1 = der.spec_phi.pow(1j * mpf(t))
     rhs1 = embed(s1 * x * dag(s1), legs, dims)
     lhs2 = ui * embed(y, comp, dims) * u
-    s2 = mat_pow(der.rho_psi, 1j * mpf(t), "rho_psi")
+    s2 = der.spec_psi.pow(1j * mpf(t))
     rhs2 = embed(s2 * y * dag(s2), comp, dims)
     return max_abs(lhs1 - rhs1), max_abs(lhs2 - rhs2)
 
@@ -465,26 +436,34 @@ def connes_cocycle(psi, psi0, t, membership_tol=mpf("1e-18")) -> CocycleResult:
     return CocycleResult(u=u, membership_residual=memb, unitarity_residual=uni)
 
 
+def _cocycle(sp, sp0, t):
+    """psi^{it} psi0^{-it} from the spectra of psi and psi0."""
+    t = mpf(t)
+    return sp.pow(1j * t) * sp0.pow(-1j * t)
+
+
 def cocycle_direct(psi, psi0, t):
     """psi^{it} psi0^{-it}, the closed-form cocycle used as the oracle."""
-    t = mpf(t)
-    return mat_pow(psi, 1j * t, "psi") * mat_pow(psi0, -1j * t, "psi0")
+    return _cocycle(spectrum(psi, "psi"), spectrum(psi0, "psi0"), t)
 
 
 def cocycle_identity_residual(psi, psi0, t, s):
     """max-entry residual of u_{t+s} = u_t sigma_t^{psi0}(u_s)."""
-    ut = cocycle_direct(psi, psi0, t)
-    us = cocycle_direct(psi, psi0, s)
-    uts = cocycle_direct(psi, psi0, t + s)
-    w = mat_pow(psi0, 1j * mpf(t), "psi0")
+    sp, sp0 = spectrum(psi, "psi"), spectrum(psi0, "psi0")
+    ut = _cocycle(sp, sp0, t)
+    us = _cocycle(sp, sp0, s)
+    uts = _cocycle(sp, sp0, t + s)
+    w = sp0.pow(1j * mpf(t))
     return max_abs(uts - ut * (w * us * dag(w)))
 
 
 def cocycle_chain_residual(psi, psi0, psi1, t):
     """max-entry residual of (Dpsi:Dpsi0)_t (Dpsi0:Dpsi1)_t = (Dpsi:Dpsi1)_t."""
-    a = cocycle_direct(psi, psi0, t)
-    b = cocycle_direct(psi0, psi1, t)
-    c = cocycle_direct(psi, psi1, t)
+    sp, sp0, sp1 = (spectrum(psi, "psi"), spectrum(psi0, "psi0"),
+                    spectrum(psi1, "psi1"))
+    a = _cocycle(sp, sp0, t)
+    b = _cocycle(sp0, sp1, t)
+    c = _cocycle(sp, sp1, t)
     return max_abs(a * b - c)
 
 
@@ -492,9 +471,11 @@ def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
     """Residual of (d phi/d psi0)^{it} = (d phi/d psi)^{it} (D psi:D psi0)_t
     with the cocycle embedded in the complement algebra."""
     comp = tuple(l for l in range(len(dims)) if l not in legs)
-    lhs = spatial_derivative(rho_phi, psi0, dims, legs).power_it(t)
-    rhs = spatial_derivative(rho_phi, psi, dims, legs).power_it(t) \
-        * embed(cocycle_direct(psi, psi0, t), comp, dims)
+    d0 = spatial_derivative(rho_phi, psi0, dims, legs)
+    d1 = spatial_derivative(rho_phi, psi, dims, legs)
+    lhs = d0.power_it(t)
+    rhs = d1.power_it(t) * embed(_cocycle(d1.spec_psi, d0.spec_psi, t),
+                                 comp, dims)
     return max_abs(lhs - rhs)
 
 
@@ -567,23 +548,22 @@ def index_product(triple: FiniteFactorTriple, rho1, rho3,
     _flow_matches_state(flow, (0,), rho1, sign=1, tol=tol)
     _flow_matches_state(flow, (2,), rho3, sign=-1, tol=tol)
     by_leg = {bl: k for bl, k in flow.blocks}
-    k1 = by_leg.get((0,))
-    k2 = by_leg.get((1,))
-    k3 = by_leg.get((2,))
+    k1, k2, k3 = (by_leg.get((l,)) for l in range(3))
+    s1, s2, s3 = (None if k is None else spectrum(k) for k in (k1, k2, k3))
     e = exp(flow.const)
 
-    def tr_exp(k, s, dim):
-        if k is None:
+    def tr_exp(sp, s, dim):
+        if sp is None:
             return mpf(dim)
-        return mp.re(trace(herm_fun(k, lambda lam: exp(s * lam))))
+        return mp.re(trace(sp.fun(lambda lam: exp(s * lam))))
 
     # e^K = sigma_12 (x) rho3^{-1}: lambda3 scales the third factor onto rho3^{-1}
-    lam3 = mp.re(trace(herm_fun(k3, exp) * rho3)) / d3 if k3 is not None else mpf(1)
-    mass1 = e * lam3 * tr_exp(k1, 1, d1) * tr_exp(k2, 1, d2)
+    lam3 = mp.re(trace(s3.fun(exp) * rho3)) / d3 if s3 is not None else mpf(1)
+    mass1 = e * lam3 * tr_exp(s1, 1, d1) * tr_exp(s2, 1, d2)
     # e^{-K} = rho1^{-1} (x) sigma_23
-    lam1 = mp.re(trace(herm_fun(k1, lambda x: exp(-x)) * rho1)) / d1 \
-        if k1 is not None else mpf(1)
-    mass2 = (1 / e) * lam1 * tr_exp(k2, -1, d2) * tr_exp(k3, -1, d3)
+    lam1 = mp.re(trace(s1.fun(lambda x: exp(-x)) * rho1)) / d1 \
+        if s1 is not None else mpf(1)
+    mass2 = (1 / e) * lam1 * tr_exp(s2, -1, d2) * tr_exp(s3, -1, d3)
     product = mass1 * mass2
     expected = triple.index
     return IndexProductResult(mass1=mass1, mass2=mass2, product=product,
@@ -613,10 +593,9 @@ def araki_relative_entropy(rho1, rho2):
 
         S = - sum_{ij} log(mu_j / lam_i) |(w_j, rho1^{1/2} v_i)|^2 .
     """
-    evals1, q1 = herm_eig(rho1)
-    evals2, q2 = herm_eig(rho2)
-    for evals, name in ((evals1, "rho1"), (evals2, "rho2")):
-        _guard_positive(evals, name)
+    sp1, sp2 = spectrum(rho1, "rho1"), spectrum(rho2, "rho2")
+    evals1, q1 = sp1.evals, sp1.q
+    evals2, q2 = sp2.evals, sp2.q
     n = rho1.rows
     xi1 = matrix(n, n)
     sq = [sqrt(l) for l in evals1]
@@ -686,10 +665,11 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
             "state on M1 does not restrict to rho1 on N1")
     xi = mat_pow(w, mpf("0.5"), "state")
     log_ind = 2 * log(mpf(d2))
+    sp_sigma = spectrum(sigma, "sigma")
 
     def z(t):
-        left = mat_pow(sigma, -mpf(t), "sigma")
-        right = mat_pow(sigma, mpf(t), "sigma")
+        left = sp_sigma.pow(-mpf(t))
+        right = sp_sigma.pow(mpf(t))
         val = trace(xi * left * xi * right)
         return mp.re(val) * exp(mpf(t) * log(mpf(d2)))
 

@@ -9,15 +9,20 @@ bracket relations.
 ``evaluate_full_sum`` is the character evaluation that sums every stored
 coefficient; the library's ``evaluate`` stops at the last term that can
 change a bit and must agree with it exactly.
+
+``mat_pow_fresh``, ``power_it_fresh`` and ``cocycle_direct_fresh`` decompose
+every density afresh on each call; the lab's shared spectra must reproduce
+them bit for bit.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf, exp, pi
+from mpmath import mp, mpf, exp, log, pi, eighe, matrix
 
 from cftinv.characters import TraceValue, _tail_bound, required_cutoff
 from cftinv.errors import InsufficientCutoffError
+from cftinv.lab import embed
 from cftinv.modular_data import mpq
 
 
@@ -47,6 +52,29 @@ def evaluate_full_sum(series, t, shifted=True, tol=None):
             required_cutoff=required_cutoff(t, tol, h, c24, shifted))
     rounding = abs(value) * mpf(2) ** (4 - mp.prec) * (series.cutoff + 2)
     return TraceValue(value=value, error=tail + rounding)
+
+
+def mat_pow_fresh(a, s):
+    """A^s through a fresh eigendecomposition of Hermitian positive A."""
+    e, q = eighe(a)
+    d = matrix(len(e), len(e))
+    for i in range(len(e)):
+        d[i, i] = exp(s * log(e[i]))
+    return q * d * q.T.conjugate()
+
+
+def power_it_fresh(der, t):
+    """(d phi/d psi)^{it} of a :class:`cftinv.lab.SpatialDerivative`,
+    decomposing rho_phi and rho_psi again."""
+    a = embed(mat_pow_fresh(der.rho_phi, 1j * mpf(t)), der.legs, der.dims)
+    b = embed(mat_pow_fresh(der.rho_psi, -1j * mpf(t)), der.complement, der.dims)
+    return a * b
+
+
+def cocycle_direct_fresh(psi, psi0, t):
+    """psi^{it} psi0^{-it}, decomposing psi and psi0 again."""
+    t = mpf(t)
+    return mat_pow_fresh(psi, 1j * t) * mat_pow_fresh(psi0, -1j * t)
 
 
 def partitions_of(n, largest=None):

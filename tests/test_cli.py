@@ -50,6 +50,16 @@ def test_invariants_out_of_regime(capsys):
     assert "asymptotic" in err
 
 
+def test_invariants_default_grid_fits_m5(capsys):
+    """Without --grid the fit runs on the model's clean grid, which keeps
+    the m = 5 sector transform terms out of the fit."""
+    code, out, err = run(capsys, "invariants", "--m", "5", "--format", "json")
+    assert code == 0, err
+    doc = json.loads(out)
+    assert doc["within_tolerance"] is True
+    assert float(doc["report"]["grid"][-1]) < 0.012
+
+
 def test_characters_csv(capsys):
     code, out, _ = run(capsys, "characters", "--m", "3", "--cutoff", "120",
                        "--grid", "0.5:2:2", "--format", "csv")
@@ -68,6 +78,20 @@ def test_verify_subset_pass(capsys, tmp_path):
     doc = json.loads(path.read_text())
     assert doc["schema"] == 1
     assert all(r["status"] == "PASS" for r in doc["results"])
+
+
+def test_verify_battery_error_still_writes_report(capsys, tmp_path):
+    path = tmp_path / "rep.json"
+    code, out, err = run(capsys, "verify", "--characters", "--modular",
+                         "--cutoff", "30", "-o", str(path))
+    assert code == 2
+    assert err == ""
+    assert "FAIL characters-battery max_dev=error" in out
+    assert "FAILURES PRESENT" in out
+    rows = json.loads(path.read_text())["results"]
+    assert rows[0]["identity"].startswith("S-symmetric")   # modular ran first
+    assert rows[-1]["identity"] == "characters-battery"
+    assert rows[-1]["status"] == "FAIL" and "cutoff 30" in rows[-1]["error"]
 
 
 def test_verify_corrupt_sign_fails(capsys):
@@ -98,6 +122,19 @@ def test_lab_report_fields(capsys, tmp_path):
         assert r["dims"] == [2, 2, 2]
         assert r["seed"] == 5
         assert "abs_dev" in r
+
+
+def test_lab_asymmetric_dims(capsys, tmp_path):
+    path = tmp_path / "lab.json"
+    code, out, err = run(capsys, "lab", "--dims", "2,3,4", "--seed", "1",
+                         "-o", str(path))
+    assert code == 0, err
+    recs = json.loads(path.read_text())["results"]
+    names = [r["identity"] for r in recs]
+    assert len(recs) == 11 and all(r["status"] == "PASS" for r in recs)
+    assert "index-product-d2sq-234" in names
+    assert not any(n.startswith("kms") or n == "symmetric-split-masses"
+                   for n in names)
 
 
 def test_bh_mass(capsys):

@@ -7,6 +7,7 @@ import cftinv as ci
 from cftinv import lab
 from cftinv.errors import (HypothesisViolationError, IdentityViolationError,
                            NotSeparatingError, RankDeficiencyError)
+from oracles import cocycle_direct_fresh, power_it_fresh
 
 
 @pytest.fixture(autouse=True)
@@ -54,6 +55,80 @@ def test_reduced_density_pure_product():
     rho = lab.reduced_density(full, (2, 3), (1,))
     expect = v2 * lab.dag(v2)
     assert lab.max_abs(rho - expect) < mpf("1e-28")
+
+
+def test_spectrum_functions_and_guard():
+    rng = rnd(4)
+    rho = lab.random_density(3, rng)
+    sp = lab.spectrum(rho, "rho")
+    assert lab.max_abs(sp.fun(lambda lam: lam) - rho) < mpf("1e-28")
+    assert lab.max_abs(sp.pow(2) - rho * rho) < mpf("1e-28")
+    assert lab.max_abs(lab.herm_fun(sp.log(), exp) - rho) < mpf("1e-28")
+    sing = mp.diag([mpf(1), mpf(0)])
+    lab.spectrum(sing)                    # no guard without a name
+    with pytest.raises(RankDeficiencyError, match="sing"):
+        lab.spectrum(sing, "sing")
+    with pytest.raises(NotSeparatingError):
+        lab.spectrum(sing, "sing", NotSeparatingError)
+
+
+def test_shared_spectra_match_fresh_decompositions():
+    """Reusing a spectrum gives exactly the entries of decomposing again."""
+    rng = rnd(5)
+    der = ci.spatial_derivative(lab.random_density(12, rng),
+                                lab.random_density(3, rng), (3, 4, 3), (0, 1))
+    t = mpf("0.37")
+    assert lab.max_abs(der.power_it(t) - power_it_fresh(der, t)) == 0
+    psi, psi0 = lab.random_density(3, rng), lab.random_density(3, rng)
+    assert lab.max_abs(lab.cocycle_direct(psi, psi0, mpf("0.7"))
+                       - cocycle_direct_fresh(psi, psi0, mpf("0.7"))) == 0
+
+
+def test_eighe_calls_per_function(monkeypatch):
+    """Each lab function decomposes each density it needs once."""
+    rng = rnd(6)
+    dims = (2, 2, 2)
+    rho_a, rho_b = lab.random_density(4, rng), lab.random_density(2, rng)
+    der = ci.spatial_derivative(rho_a, rho_b, dims, (0, 1))
+    psi, psi0, psi1 = (lab.random_density(3, rng) for _ in range(3))
+    triple = ci.FiniteFactorTriple(*dims)
+    rho1, rho3 = lab.random_density(2, rng), lab.random_density(2, rng)
+    flow = ci.canonical_flow(triple, rho1, rho3)
+    t, s = mpf("0.4"), mpf("0.3")
+    cases = {
+        "spatial_derivative":
+            lambda: ci.spatial_derivative(rho_a, rho_b, dims, (0, 1)),
+        "modular_implementation_residual":
+            lambda: lab.modular_implementation_residual(der, t),
+        "connes_cocycle": lambda: ci.connes_cocycle(psi, psi0, t),
+        "cocycle_identity_residual":
+            lambda: lab.cocycle_identity_residual(psi, psi0, t, s),
+        "cocycle_chain_residual":
+            lambda: lab.cocycle_chain_residual(psi, psi0, psi1, t),
+        "index_product": lambda: ci.index_product(triple, rho1, rho3, flow),
+        "entropy_derivative_identity":
+            lambda: ci.entropy_derivative_identity(triple, rho1),
+    }
+    calls = [0]
+    real = lab.eighe
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(lab, "eighe", counted)
+    got = {}
+    for name, run in cases.items():
+        before = calls[0]
+        run()
+        got[name] = calls[0] - before
+    assert got == {"spatial_derivative": 2,
+                   "modular_implementation_residual": 0,
+                   "connes_cocycle": 4,
+                   "cocycle_identity_residual": 2,
+                   "cocycle_chain_residual": 3,
+                   "index_product": 4,
+                   "entropy_derivative_identity": 4}
 
 
 # -------------------------------------------------------- spatial derivative
