@@ -21,6 +21,11 @@ import cftinv as ci
 from cftinv import lab
 
 
+# The lab multiplied with mpmath's ``*`` before ``lab.matmul`` existed, so on
+# such a checkout the product case times ``*``: its "before" median.
+matmul = getattr(lab, "matmul", lambda a, b: a * b)
+
+
 @pytest.fixture(autouse=True)
 def _fifty_digits():
     with mp.workdps(50):
@@ -60,3 +65,12 @@ def test_entropy_derivative_identity(benchmark):
     rep = benchmark.pedantic(ci.entropy_derivative_identity, (triple, rho1),
                              rounds=5, iterations=1)
     assert rep.identity_residual < mpf("1e-6")
+
+
+def test_matmul_36_complex(benchmark):
+    """One dense 36 x 36 complex product, the size of the operators on the
+    full space at dims 3,4,3."""
+    rng = random.Random(5)
+    a, b = lab.random_density(36, rng), lab.random_density(36, rng)
+    out = benchmark.pedantic(matmul, (a, b), rounds=10, iterations=1)
+    assert out.rows == out.cols == 36

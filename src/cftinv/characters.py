@@ -233,13 +233,22 @@ def evaluate_small_t(md: ModularData, all_series, rho, t,
     rapidly because 1/t is large.  ``shifted=False`` multiplies by
     e^{-2 pi t c/24} to give Tr e^{-2 pi t L0,rho}."""
     t = mpf(t)
+    duals = _duals(all_series, t)
+    return _from_duals(md, md.model.sector_index(rho), t, duals, shifted)
+
+
+def _duals(all_series, t):
+    """chi_nu(i/t) for every sector nu, the right side of the S transform."""
     if not 0 < t <= 1:
         raise ValueError("the transform route needs 0 < t <= 1")
-    idx = md.model.sector_index(rho)
+    return [evaluate(series, 1 / t, shifted=True) for series in all_series]
+
+
+def _from_duals(md: ModularData, idx, t, duals, shifted) -> TraceValue:
+    """chi_idx(it) = sum_nu S_{idx nu} chi_nu(i/t) from the dual values."""
     acc = mpf(0)
     err = mpf(0)
-    for nu, series in enumerate(all_series):
-        tv = evaluate(series, 1 / t, shifted=True)
+    for nu, tv in enumerate(duals):
         acc += md.S[idx, nu] * tv.value
         err += abs(md.S[idx, nu]) * tv.error
     if not shifted:
@@ -285,13 +294,18 @@ def count_states(series: CharacterSeries, lam) -> int:
 
 
 def values_csv_rows(series_list, md, t_grid, shifted=False):
-    """(sector, t, value, certified_error) rows for CSV emission."""
+    """(sector, t, value, certified_error) rows for CSV emission.  Below
+    t = 1 the dual characters at 1/t are evaluated once per t and shared by
+    every sector's S transform."""
+    duals = {}
     rows = []
     for i, series in enumerate(series_list):
-        for t in t_grid:
+        for k, t in enumerate(t_grid):
             t = mpf(t)
             if t < 1:
-                tv = evaluate_small_t(md, series_list, i, t, shifted=shifted)
+                if k not in duals:
+                    duals[k] = _duals(series_list, t)
+                tv = _from_duals(md, i, t, duals[k], shifted)
             else:
                 tv = evaluate(series, t, shifted=shifted)
             rows.append((series.sector.name, t, tv.value, tv.error))

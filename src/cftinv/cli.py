@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import random
 import sys
@@ -57,6 +58,11 @@ class RunConfig:
             raise ConfigError("grid points must be positive")
         if self.format not in ("json", "csv", "text"):
             raise ConfigError(f"unknown format {self.format!r}")
+        if len(self.dims) != 3 or any(d < 1 for d in self.dims):
+            raise ConfigError("dims must be three positive integers d1,d2,d3")
+        if math.prod(self.dims) > lab.MAX_DIM:
+            raise ConfigError(f"dims product d1*d2*d3 = {math.prod(self.dims)} "
+                              f"exceeds the limit {lab.MAX_DIM}")
 
 
 def parse_grid(spec: str):
@@ -236,7 +242,7 @@ def battery_appendix_c(b: Battery, dims, seed: int):
         r1, r2 = lab.modular_implementation_residual(der, mpf("0.37"))
         worst1, worst2 = max(worst1, r1), max(worst2, r2)
     b.check("spatial-derivative-implements", max(worst1, worst2), "1e-18")
-    der_inv = der.dense() * der.inverse().dense()
+    der_inv = lab.matmul(der.dense(), der.inverse().dense())
     n = der_inv.rows
     b.check("spatial-derivative-inverse",
             max(abs(der_inv[i, j] - (1 if i == j else 0))
@@ -583,8 +589,6 @@ def _config_from_args(args) -> RunConfig:
         dims=tuple(int(x) for x in dims_raw.split(",")) if dims_raw else (2, 3, 2),
     )
     cfg.validate()
-    if len(cfg.dims) != 3 or any(d < 1 for d in cfg.dims):
-        raise ConfigError("dims must be three positive integers d1,d2,d3")
     return cfg
 
 

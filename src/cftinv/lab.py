@@ -30,21 +30,43 @@ deterministic at a given precision, so reusing a spectrum gives the same
 bits, and the same report bytes, as decomposing A again.  The oracle
 :func:`relative_entropy_oracle` and the flow hypothesis check decompose on
 their own, so they share no state with what they check.
+
+Exact matrix products: every matrix-matrix and matrix-vector product here
+goes through :func:`matmul`, which returns the bits of mpmath's ``a * b``
+at a fraction of its cost.  mpmath's ``fdot`` forms each product of two
+entries exactly and rounds their sum once: ``mpf_sum`` adds exactly unless
+two raw exponents differ by more than 2 prec, then ends in
+``from_man_exp(man, exp, prec, rnd)``.  So ``matmul`` converts each row of
+``a`` and each column of ``b`` once to signed Python ints over a common
+exponent, forms the real and imaginary parts of an entry as exact int dot
+products and rounds each once with ``from_man_exp`` at the context's
+precision and rounding.  Mantissas are odd, so a product's raw exponent is
+the sum of its factors'; an entry whose nonzero products' exponents span
+more than 2 prec bits is handed to ``fdot`` itself, as is every entry of a
+row or column holding an inf, a nan, a value that is not an mpf or mpc, or
+exponents spread over more than 8 prec bits.  An entry is an mpc exactly
+when row i of ``a`` or column j of ``b`` holds an mpc, which is ``fdot``'s
+rule, and zeros are not stored, as in ``matrix.__setitem__``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from operator import mul
 
 from mpmath import mp, mpf, mpc, matrix, eighe, exp, log, sqrt, pi
+from mpmath.libmp import from_man_exp, fzero
 
 from .errors import (CocycleError, HypothesisViolationError,
                      IdentityViolationError, NotSeparatingError,
                      RankDeficiencyError)
 
 CONDITION_GUARD = mpf("1e12")
+# Largest d1*d2*d3 the command line accepts: the dense operators on the full
+# space are (d1 d2 d3)^2 matrices and each product of two costs (d1 d2 d3)^3.
+MAX_DIM = 64
 SIGN_CONVENTION = "d(psi1)/d(phi2) = exp(K); KMS point at t = 1 (2 pi absorbed)"
 
 
@@ -59,6 +81,113 @@ def eye(n):
     for i in range(n):
         m[i, i] = mpf(1)
     return m
+
+
+_ZERO_LINE = object()
+
+
+def _pack(xs, ctx, cap):
+    """A row or column of entries as signed ints over one exponent, for
+    :func:`matmul`.
+
+    Returns ``(lo, hi, re, im, parts)`` with x_k = (re[k] + i im[k]) 2^lo,
+    ``im`` None when no entry is an mpc, and ``parts[k]`` the raw (real,
+    imaginary) tuples of x_k.  ``_ZERO_LINE`` for an all-zero line; None
+    when an entry is not a finite mpf/mpc or the exponents spread over more
+    than ``cap`` bits."""
+    mpf_t, mpc_t = ctx.mpf, ctx.mpc
+    parts = []
+    cplx = False
+    for x in xs:
+        if type(x) is mpf_t:
+            parts.append((x._mpf_, fzero))
+        elif type(x) is mpc_t:
+            parts.append(x._mpc_)
+            cplx = True
+        else:
+            return None
+    exps = []
+    for p in parts:
+        for sign, man, e, bc in p:
+            if man:
+                exps.append(e)
+            elif e:
+                return None                # inf or nan
+    if not exps:
+        return _ZERO_LINE
+    lo, hi = min(exps), max(exps)
+    if hi - lo > cap:
+        return None
+    re = [(-man if sign else man) << (e - lo) if man else 0
+          for (sign, man, e, bc), _ in parts]
+    im = None
+    if cplx:
+        im = [(-man if sign else man) << (e - lo) if man else 0
+              for _, (sign, man, e, bc) in parts]
+    return lo, hi, re, im, parts
+
+
+def _product_span(parts_a, parts_b):
+    """Spread of the raw exponents of the nonzero products sum_k a_k b_k,
+    None when every product is zero."""
+    lo = hi = None
+    for pa, pb in zip(parts_a, parts_b):
+        ea = [t[2] for t in pa if t[1]]
+        eb = [t[2] for t in pb if t[1]]
+        if ea and eb:
+            k_lo, k_hi = min(ea) + min(eb), max(ea) + max(eb)
+            lo = k_lo if lo is None else min(lo, k_lo)
+            hi = k_hi if hi is None else max(hi, k_hi)
+    return None if lo is None else hi - lo
+
+
+def matmul(a, b):
+    """The matrix product ``a * b`` with the same bits as mpmath's, on
+    Python ints; the module docstring gives the argument and the cases
+    that go to ``fdot``."""
+    if a.cols != b.rows:
+        raise ValueError("dimensions not compatible for multiplication")
+    ctx = a.ctx
+    prec, rnd = ctx._prec_rounding
+    limit = 2 * prec                   # mpf_sum's max_extra_prec
+    b_cols = [[b[k, j] for k in range(b.rows)] for j in range(b.cols)]
+    pb_all = [_pack(c, ctx, 8 * prec) for c in b_cols]
+    out = ctx.matrix(a.rows, b.cols)
+    for i in range(a.rows):
+        a_row = [a[i, k] for k in range(a.cols)]
+        pa = _pack(a_row, ctx, 8 * prec)
+        for j, pb in enumerate(pb_all):
+            if pa is None or pb is None:
+                out[i, j] = ctx.fdot(a_row, b_cols[j])
+                continue
+            if pa is _ZERO_LINE or pb is _ZERO_LINE:
+                continue
+            lo_a, hi_a, re_a, im_a, parts_a = pa
+            lo_b, hi_b, re_b, im_b, parts_b = pb
+            if hi_a + hi_b - lo_a - lo_b > limit:
+                span = _product_span(parts_a, parts_b)
+                if span is None:
+                    continue
+                if span > limit:
+                    out[i, j] = ctx.fdot(a_row, b_cols[j])
+                    continue
+            e = lo_a + lo_b
+            re = sum(map(mul, re_a, re_b))
+            if im_a is None and im_b is None:
+                if re:
+                    out[i, j] = ctx.make_mpf(from_man_exp(re, e, prec, rnd))
+                continue
+            im = 0
+            if im_b is not None:
+                im += sum(map(mul, re_a, im_b))
+            if im_a is not None:
+                im += sum(map(mul, im_a, re_b))
+            if im_a is not None and im_b is not None:
+                re -= sum(map(mul, im_a, im_b))
+            if re or im:
+                out[i, j] = ctx.make_mpc((from_man_exp(re, e, prec, rnd),
+                                          from_man_exp(im, e, prec, rnd)))
+    return out
 
 
 def kron(a, b):
@@ -95,7 +224,7 @@ class Spectrum:
         d = matrix(len(self.evals), len(self.evals))
         for i, lam in enumerate(self.evals):
             d[i, i] = f(lam)
-        return self.q * d * dag(self.q)
+        return matmul(matmul(self.q, d), dag(self.q))
 
     def log(self):
         return self.fun(log)
@@ -205,7 +334,7 @@ def random_density(n, rng: random.Random, floor=mpf("0.08")):
     for i in range(n):
         for j in range(n):
             g[i, j] = mpc(rng.gauss(0, 1), rng.gauss(0, 1))
-    w = g * dag(g)
+    w = matmul(g, dag(g))
     t = trace(w)
     rho = matrix(n, n)
     for i in range(n):
@@ -306,7 +435,7 @@ class FlowGenerator:
             else:
                 f = herm_fun(k, lambda lam: exp(s * lam))
             f = embed(f, bl, self.dims)
-            out = f if out is None else out * f
+            out = f if out is None else matmul(out, f)
         if out is None:
             out = eye(n)
         return exp(s * self.const) * out
@@ -349,18 +478,24 @@ class SpatialDerivative:
     def dense(self):
         a = embed(self.rho_phi, self.legs, self.dims)
         b = embed(self.spec_psi.pow(-1), self.complement, self.dims)
-        return a * b
+        return matmul(a, b)
 
     def power_it(self, t):
         """(d phi/d psi)^{it}, a unitary."""
         a = embed(self.spec_phi.pow(1j * mpf(t)), self.legs, self.dims)
         b = embed(self.spec_psi.pow(-1j * mpf(t)), self.complement, self.dims)
-        return a * b
+        return matmul(a, b)
 
     def inverse(self) -> "SpatialDerivative":
         return SpatialDerivative(dims=self.dims, legs=self.complement,
                                  rho_phi=self.rho_psi, rho_psi=self.rho_phi,
                                  spec_phi=self.spec_psi, spec_psi=self.spec_phi)
+
+    def with_psi(self, rho_psi) -> "SpatialDerivative":
+        """d(phi)/d(psi') for another state psi' on the complement, reusing
+        the spectrum of phi."""
+        return replace(self, rho_psi=rho_psi, spec_psi=spectrum(
+            rho_psi, "density of psi", NotSeparatingError))
 
 
 def spatial_derivative(rho_phi, rho_psi, dims, legs) -> SpatialDerivative:
@@ -385,12 +520,12 @@ def modular_implementation_residual(der: SpatialDerivative, t, x=None, y=None):
         y = random_density(math.prod(dims[l] for l in comp), rng)
     u = der.power_it(t)
     ui = der.power_it(-t)
-    lhs1 = u * embed(x, legs, dims) * ui
+    lhs1 = matmul(matmul(u, embed(x, legs, dims)), ui)
     s1 = der.spec_phi.pow(1j * mpf(t))
-    rhs1 = embed(s1 * x * dag(s1), legs, dims)
-    lhs2 = ui * embed(y, comp, dims) * u
+    rhs1 = embed(matmul(matmul(s1, x), dag(s1)), legs, dims)
+    lhs2 = matmul(matmul(ui, embed(y, comp, dims)), u)
     s2 = der.spec_psi.pow(1j * mpf(t))
-    rhs2 = embed(s2 * y * dag(s2), comp, dims)
+    rhs2 = embed(matmul(matmul(s2, y), dag(s2)), comp, dims)
     return max_abs(lhs1 - rhs1), max_abs(lhs2 - rhs2)
 
 
@@ -417,14 +552,14 @@ def connes_cocycle(psi, psi0, t, membership_tol=mpf("1e-18")) -> CocycleResult:
     dims = (n, n)
     tr = eye(n) * (mpf(1) / n)
     d1 = spatial_derivative(tr, psi, dims, (0,))
-    d0 = spatial_derivative(tr, psi0, dims, (0,))
-    u_full = d1.power_it(-t) * d0.power_it(t)
+    d0 = d1.with_psi(psi0)
+    u_full = matmul(d1.power_it(-t), d0.power_it(t))
     # membership: commutes with everything on the mirror leg
     rng = random.Random(0xC0C0)
     memb = mpf(0)
     for _ in range(2):
         x = embed(random_density(n, rng), (0,), dims)
-        memb = max(memb, max_abs(u_full * x - x * u_full))
+        memb = max(memb, max_abs(matmul(u_full, x) - matmul(x, u_full)))
     if memb > membership_tol:
         raise CocycleError(f"cocycle leaves the factor: residual {mp.nstr(memb, 4)}")
     # extract the second-leg factor from u_full = 1 (x) u
@@ -432,14 +567,14 @@ def connes_cocycle(psi, psi0, t, membership_tol=mpf("1e-18")) -> CocycleResult:
     for k in range(n):
         for l in range(n):
             u[k, l] = u_full[k, l]
-    uni = max_abs(u * dag(u) - eye(n))
+    uni = max_abs(matmul(u, dag(u)) - eye(n))
     return CocycleResult(u=u, membership_residual=memb, unitarity_residual=uni)
 
 
 def _cocycle(sp, sp0, t):
     """psi^{it} psi0^{-it} from the spectra of psi and psi0."""
     t = mpf(t)
-    return sp.pow(1j * t) * sp0.pow(-1j * t)
+    return matmul(sp.pow(1j * t), sp0.pow(-1j * t))
 
 
 def cocycle_direct(psi, psi0, t):
@@ -454,7 +589,7 @@ def cocycle_identity_residual(psi, psi0, t, s):
     us = _cocycle(sp, sp0, s)
     uts = _cocycle(sp, sp0, t + s)
     w = sp0.pow(1j * mpf(t))
-    return max_abs(uts - ut * (w * us * dag(w)))
+    return max_abs(uts - matmul(ut, matmul(matmul(w, us), dag(w))))
 
 
 def cocycle_chain_residual(psi, psi0, psi1, t):
@@ -464,7 +599,7 @@ def cocycle_chain_residual(psi, psi0, psi1, t):
     a = _cocycle(sp, sp0, t)
     b = _cocycle(sp0, sp1, t)
     c = _cocycle(sp, sp1, t)
-    return max_abs(a * b - c)
+    return max_abs(matmul(a, b) - c)
 
 
 def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
@@ -472,10 +607,10 @@ def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
     with the cocycle embedded in the complement algebra."""
     comp = tuple(l for l in range(len(dims)) if l not in legs)
     d0 = spatial_derivative(rho_phi, psi0, dims, legs)
-    d1 = spatial_derivative(rho_phi, psi, dims, legs)
+    d1 = d0.with_psi(psi)
     lhs = d0.power_it(t)
-    rhs = d1.power_it(t) * embed(_cocycle(d1.spec_psi, d0.spec_psi, t),
-                                 comp, dims)
+    rhs = matmul(d1.power_it(t),
+                 embed(_cocycle(d1.spec_psi, d0.spec_psi, t), comp, dims))
     return max_abs(lhs - rhs)
 
 
@@ -507,7 +642,7 @@ def weight_total_mass(flow: FlowGenerator, state: VectorState,
     _flow_matches_state(flow, state.legs, state.density, sign=1, tol=tol)
     em = flow.exp_factor(mpf(-1))
     v = state.vector
-    w = em * v
+    w = matmul(em, v)
     return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
 
 
@@ -519,9 +654,9 @@ def weight_mass_cocycle_oracle(flow: FlowGenerator, state: VectorState):
     comp = tuple(l for l in range(len(dims)) if l not in state.legs)
     rho0 = reduced_density(state.vector, dims, comp)
     d0 = spatial_derivative(state.density, rho0, dims, state.legs)
-    m = flow.exp_factor(mpf(-1)) * d0.dense()
+    m = matmul(flow.exp_factor(mpf(-1)), d0.dense())
     v = state.vector
-    w = m * v
+    w = matmul(m, v)
     return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
 
 
@@ -558,10 +693,11 @@ def index_product(triple: FiniteFactorTriple, rho1, rho3,
         return mp.re(trace(sp.fun(lambda lam: exp(s * lam))))
 
     # e^K = sigma_12 (x) rho3^{-1}: lambda3 scales the third factor onto rho3^{-1}
-    lam3 = mp.re(trace(s3.fun(exp) * rho3)) / d3 if s3 is not None else mpf(1)
+    lam3 = mp.re(trace(matmul(s3.fun(exp), rho3))) / d3 \
+        if s3 is not None else mpf(1)
     mass1 = e * lam3 * tr_exp(s1, 1, d1) * tr_exp(s2, 1, d2)
     # e^{-K} = rho1^{-1} (x) sigma_23
-    lam1 = mp.re(trace(s1.fun(lambda x: exp(-x)) * rho1)) / d1 \
+    lam1 = mp.re(trace(matmul(s1.fun(lambda x: exp(-x)), rho1))) / d1 \
         if s1 is not None else mpf(1)
     mass2 = (1 / e) * lam1 * tr_exp(s2, -1, d2) * tr_exp(s3, -1, d3)
     product = mass1 * mass2
@@ -580,7 +716,8 @@ def pimsner_popa_entropy(triple: FiniteFactorTriple):
 
 def relative_entropy_oracle(rho1, rho2):
     """Tr rho1 (log rho1 - log rho2), the density-matrix formula."""
-    return mp.re(trace(rho1 * (mat_log(rho1, "rho1") - mat_log(rho2, "rho2"))))
+    return mp.re(trace(matmul(rho1, mat_log(rho1, "rho1")
+                              - mat_log(rho2, "rho2"))))
 
 
 def araki_relative_entropy(rho1, rho2):
@@ -593,16 +730,20 @@ def araki_relative_entropy(rho1, rho2):
 
         S = - sum_{ij} log(mu_j / lam_i) |(w_j, rho1^{1/2} v_i)|^2 .
     """
-    sp1, sp2 = spectrum(rho1, "rho1"), spectrum(rho2, "rho2")
+    return _araki_from_spectra(spectrum(rho1, "rho1"), spectrum(rho2, "rho2"))
+
+
+def _araki_from_spectra(sp1, sp2):
+    """:func:`araki_relative_entropy` from the spectra of rho1 and rho2."""
     evals1, q1 = sp1.evals, sp1.q
     evals2, q2 = sp2.evals, sp2.q
-    n = rho1.rows
+    n = len(evals1)
     xi1 = matrix(n, n)
     sq = [sqrt(l) for l in evals1]
     for i in range(n):
         for j in range(n):
             xi1[i, j] = sum(q1[i, k] * sq[k] * mp.conj(q1[j, k]) for k in range(n))
-    m = dag(q2) * xi1 * q1
+    m = matmul(matmul(dag(q2), xi1), q1)
     s = mpf(0)
     for j in range(n):
         for i in range(n):
@@ -670,7 +811,7 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     def z(t):
         left = sp_sigma.pow(-mpf(t))
         right = sp_sigma.pow(mpf(t))
-        val = trace(xi * left * xi * right)
+        val = trace(matmul(matmul(matmul(xi, left), xi), right))
         return mp.re(val) * exp(mpf(t) * log(mpf(d2)))
 
     z1 = z(1)
@@ -686,7 +827,7 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     derivative = (4 * d_h2 - d_h) / 3
     # canonical pair: the expectation-extended state against its reflection,
     # both represented by sigma on the standard form
-    s_rel = araki_relative_entropy(sigma, sigma)
+    s_rel = _araki_from_spectra(sp_sigma, sp_sigma)
     ident_res = abs(derivative - (-s_rel + log_ind))
     if mass_res > tol or ident_res > tol:
         raise IdentityViolationError(
@@ -711,7 +852,7 @@ def reconstruction_flow_residual(triple: FiniteFactorTriple, rho1, t=mpf("0.7"))
     a = random_density(d1, rng)
     x = kron(a, eye(d2))
     u = mat_pow(sigma, 1j * mpf(t), "sigma")
-    lhs = u * x * dag(u)           # the scalar part of K cancels in Ad
+    lhs = matmul(matmul(u, x), dag(u))   # the scalar part of K cancels in Ad
     s = mat_pow(rho1, 1j * mpf(t), "rho1")
-    rhs = kron(s * a * dag(s), eye(d2))
+    rhs = kron(matmul(matmul(s, a), dag(s)), eye(d2))
     return max_abs(lhs - rhs)

@@ -243,3 +243,29 @@ def test_csv_and_dump(md3, series3_small):
     dump = coeff_dump(series3_small[0])
     lines = dump.strip().split("\n")
     assert lines[0] == "1" and lines[1] == "0" and lines[2] == "1"
+
+
+def test_csv_rows_evaluate_each_dual_once(monkeypatch):
+    """Below t = 1 the n dual characters are evaluated once per t, not once
+    per (sector, t): 2 points x 10 sectors for m = 5 (was 2 x 10 x 10)."""
+    from cftinv.characters import values_csv_rows
+    model = ci.build_minimal_model(5)
+    md = ci.modular_matrices(model)
+    series = ci.all_character_series(model, 120)
+    grid = ["0.5", "0.8"]
+    want = []
+    for i, s in enumerate(series):
+        for t in grid:
+            tv = ci.evaluate_small_t(md, series, i, t, shifted=False)
+            want.append((s.sector.name, mpf(t), tv.value, tv.error))
+    calls = [0]
+    real = characters.evaluate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(characters, "evaluate", counted)
+    rows = values_csv_rows(series, md, grid)
+    assert calls[0] == 20
+    assert [tuple(r) for r in rows] == want

@@ -238,3 +238,20 @@ def test_malformed_inputs_never_panic(capsys, tmp_path):
     # garbage dims
     code, _, err = run(capsys, "lab", "--dims", "2,x,2")
     assert code == 1 and err
+
+
+def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
+    import cftinv.cli as cli
+    from cftinv import lab
+
+    def never(*args):
+        raise AssertionError("the lab battery ran past the --dims limit")
+
+    monkeypatch.setattr(cli, "battery_appendix_c", never)
+    for argv in (("lab", "--dims", "5,13,1"),
+                 ("verify", "--appendix-c", "--dims", "5,13,1")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert str(lab.MAX_DIM) in json.loads(err)["error"]
+    cli.RunConfig(command="lab", dims=(4, 4, 4)).validate()
+    assert lab.MAX_DIM == 64

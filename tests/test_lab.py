@@ -57,6 +57,132 @@ def test_reduced_density_pure_product():
     assert lab.max_abs(rho - expect) < mpf("1e-28")
 
 
+def _raw(x):
+    """Type and raw mpmath tuple of an entry, the bits to compare."""
+    return type(x), x._mpc_ if isinstance(x, mpc) else x._mpf_
+
+
+def assert_same_product(a, b):
+    """``lab.matmul(a, b)`` has the type and bits of mpmath's ``a * b``."""
+    want, got = a * b, lab.matmul(a, b)
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for i in range(want.rows):
+        for j in range(want.cols):
+            assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
+    return got
+
+
+def random_matrix(rng, rows, cols, kind):
+    """Seeded entries: 'real' (mpf), 'complex' (mpc) or 'mixed', with some
+    exact zeros and magnitudes over a few binades."""
+    m = matrix(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < 0.15:
+                continue
+            scale = mpf(2) ** rng.randint(-8, 8)
+            re = mpf(rng.gauss(0, 1)) / 3 * scale
+            if kind == "complex" or (kind == "mixed" and rng.random() < 0.5):
+                m[i, j] = mpc(re, mpf(rng.gauss(0, 1)) / 7 * scale)
+            else:
+                m[i, j] = re
+    return m
+
+
+DPS = pytest.mark.parametrize("dps", [15, 50, 100])
+
+
+@DPS
+def test_matmul_dense_complex_bit_identical(dps):
+    rng = rnd(11)
+    with mp.workdps(dps):
+        for rows, inner, cols in [(1, 1, 1), (4, 4, 4), (6, 5, 7), (12, 12, 12)]:
+            assert_same_product(random_matrix(rng, rows, inner, "complex"),
+                                random_matrix(rng, inner, cols, "complex"))
+
+
+@DPS
+def test_matmul_real_stays_real(dps):
+    rng = rnd(12)
+    with mp.workdps(dps):
+        for n in (3, 8):
+            got = assert_same_product(random_matrix(rng, n, n, "real"),
+                                      random_matrix(rng, n, n, "real"))
+            assert all(type(got[i, j]) is mpf
+                       for i in range(n) for j in range(n))
+
+
+@DPS
+def test_matmul_mixed_mpf_mpc_bit_identical(dps):
+    rng = rnd(13)
+    with mp.workdps(dps):
+        for kinds in [("mixed", "mixed"), ("real", "mixed"),
+                      ("mixed", "real"), ("real", "complex"),
+                      ("complex", "real")]:
+            assert_same_product(random_matrix(rng, 5, 6, kinds[0]),
+                                random_matrix(rng, 6, 4, kinds[1]))
+        # one mpc entry in a real row makes the whole output row complex
+        a = random_matrix(rng, 3, 3, "real")
+        a[1, 2] = mpc(0, 1)
+        assert_same_product(a, random_matrix(rng, 3, 3, "real"))
+
+
+@DPS
+def test_matmul_structured_operands_bit_identical(dps):
+    rng = rnd(14)
+    with mp.workdps(dps):
+        dims = (2, 3, 2)
+        x = lab.embed(lab.random_density(3, rng), (1,), dims)
+        y = lab.embed(lab.random_density(4, rng), (0, 2), dims)
+        assert_same_product(x, y)
+        assert_same_product(random_matrix(rng, 12, 12, "complex"), x)
+        v = lab.random_unit_vector(12, rng)
+        assert assert_same_product(y, v).cols == 1
+        zero_row = random_matrix(rng, 4, 4, "complex")
+        for k in range(4):
+            zero_row[2, k] = 0
+        assert_same_product(zero_row, random_matrix(rng, 4, 4, "mixed"))
+        assert_same_product(random_matrix(rng, 4, 4, "mixed"), zero_row)
+        assert_same_product(matrix(3, 3), random_matrix(rng, 3, 2, "complex"))
+        with pytest.raises(ValueError):
+            lab.matmul(matrix(2, 3), matrix(2, 3))
+
+
+@DPS
+def test_matmul_wide_exponents_fall_back_to_fdot(dps, monkeypatch):
+    """Products whose exponents span more than 2 prec bits, and infinities,
+    go to fdot and still give mpmath's bits."""
+    rng = rnd(15)
+    with mp.workdps(dps):
+        big, tiny = mpf(2) ** 400, mpf(2) ** -400
+        a = random_matrix(rng, 4, 4, "complex")
+        a[0, 0], a[0, 1] = a[0, 0] * big, a[0, 1] * tiny
+        a[3, 3] = mpc(big, tiny)
+        b = random_matrix(rng, 4, 3, "mixed")
+        c = random_matrix(rng, 4, 4, "real")
+        c[2, 1] = mp.inf
+        # fdot lets 2^400 replace the 2^-400 before it, then cancels it:
+        # mpmath's product is 0 where the exact sum is 2^-400
+        cancel = (matrix([[tiny, big, big]]), matrix([[1], [1], [-1]]))
+        pairs = [(a, b), (b.T, a), (c, b), cancel]
+        wants = [x * y for x, y in pairs]
+        assert wants[-1][0, 0] == 0
+        calls = [0]
+        real = mp.fdot
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "fdot", counted)
+        for (x, y), want in zip(pairs, wants):
+            got = lab.matmul(x, y)
+            for i in range(want.rows):
+                for j in range(want.cols):
+                    assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
+        assert calls[0] > 0
+
+
 def test_spectrum_functions_and_guard():
     rng = rnd(4)
     rho = lab.random_density(3, rng)
@@ -101,6 +227,9 @@ def test_eighe_calls_per_function(monkeypatch):
         "modular_implementation_residual":
             lambda: lab.modular_implementation_residual(der, t),
         "connes_cocycle": lambda: ci.connes_cocycle(psi, psi0, t),
+        "spatial_cocycle_factorization_residual":
+            lambda: lab.spatial_cocycle_factorization_residual(
+                rho_a, rho1, rho3, dims, (0, 1), t),
         "cocycle_identity_residual":
             lambda: lab.cocycle_identity_residual(psi, psi0, t, s),
         "cocycle_chain_residual":
@@ -124,11 +253,12 @@ def test_eighe_calls_per_function(monkeypatch):
         got[name] = calls[0] - before
     assert got == {"spatial_derivative": 2,
                    "modular_implementation_residual": 0,
-                   "connes_cocycle": 4,
+                   "connes_cocycle": 3,
+                   "spatial_cocycle_factorization_residual": 3,
                    "cocycle_identity_residual": 2,
                    "cocycle_chain_residual": 3,
                    "index_product": 4,
-                   "entropy_derivative_identity": 4}
+                   "entropy_derivative_identity": 2}
 
 
 # -------------------------------------------------------- spatial derivative
