@@ -232,29 +232,34 @@ def evaluate_small_t(md: ModularData, all_series, rho, t,
     chi_rho(it) = sum_nu S_{rho nu} chi_nu(i/t), whose right side converges
     rapidly because 1/t is large.  ``shifted=False`` multiplies by
     e^{-2 pi t c/24} to give Tr e^{-2 pi t L0,rho}."""
+    idx = md.model.sector_index(rho)
+    return transform_traces(md, all_series, t, shifted, rows=(idx,))[0]
+
+
+def transform_traces(md: ModularData, all_series, t, shifted: bool = True,
+                     rows=None) -> list:
+    """chi_rho(it) through the S transform for the sector indices ``rows``,
+    in that order, or for every sector when ``rows`` is None.  The dual
+    characters chi_nu(i/t) are evaluated once and shared by every row's
+    sum; each value and error is the one :func:`evaluate_small_t` returns
+    for that sector.  Each row costs n products, so a caller that needs
+    one sector asks for that row alone."""
     t = mpf(t)
-    duals = _duals(all_series, t)
-    return _from_duals(md, md.model.sector_index(rho), t, duals, shifted)
-
-
-def _duals(all_series, t):
-    """chi_nu(i/t) for every sector nu, the right side of the S transform."""
     if not 0 < t <= 1:
         raise ValueError("the transform route needs 0 < t <= 1")
-    return [evaluate(series, 1 / t, shifted=True) for series in all_series]
-
-
-def _from_duals(md: ModularData, idx, t, duals, shifted) -> TraceValue:
-    """chi_idx(it) = sum_nu S_{idx nu} chi_nu(i/t) from the dual values."""
-    acc = mpf(0)
-    err = mpf(0)
-    for nu, tv in enumerate(duals):
-        acc += md.S[idx, nu] * tv.value
-        err += abs(md.S[idx, nu]) * tv.error
-    if not shifted:
-        f = exp(-2 * pi * t * mpq(md.model.c) / 24)
-        return TraceValue(value=f * acc, error=f * err)
-    return TraceValue(value=acc, error=err)
+    duals = [evaluate(series, 1 / t, shifted=True) for series in all_series]
+    f = None if shifted else exp(-2 * pi * t * mpq(md.model.c) / 24)
+    out = []
+    for idx in range(len(duals)) if rows is None else rows:
+        acc = mpf(0)
+        err = mpf(0)
+        for nu, tv in enumerate(duals):
+            acc += md.S[idx, nu] * tv.value
+            err += abs(md.S[idx, nu]) * tv.error
+        if f is not None:
+            acc, err = f * acc, f * err
+        out.append(TraceValue(value=acc, error=err))
+    return out
 
 
 def s_transform_residual(md: ModularData, all_series, t_grid):
@@ -295,17 +300,17 @@ def count_states(series: CharacterSeries, lam) -> int:
 
 def values_csv_rows(series_list, md, t_grid, shifted=False):
     """(sector, t, value, certified_error) rows for CSV emission.  Below
-    t = 1 the dual characters at 1/t are evaluated once per t and shared by
-    every sector's S transform."""
-    duals = {}
+    t = 1 every sector's value comes from one :func:`transform_traces` call
+    per t."""
+    small = {}
     rows = []
     for i, series in enumerate(series_list):
         for k, t in enumerate(t_grid):
             t = mpf(t)
             if t < 1:
-                if k not in duals:
-                    duals[k] = _duals(series_list, t)
-                tv = _from_duals(md, i, t, duals[k], shifted)
+                if k not in small:
+                    small[k] = transform_traces(md, series_list, t, shifted)
+                tv = small[k][i]
             else:
                 tv = evaluate(series, t, shifted=shifted)
             rows.append((series.sector.name, t, tv.value, tv.error))

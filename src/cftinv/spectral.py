@@ -20,12 +20,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
 from mpmath import mp, mpf, log, pi, sqrt, matrix, lu_solve
 
 from .errors import (InconsistencyError, NonEllipticDataError,
                      UndefinedDimensionError, WindowError)
-from .characters import CharacterSeries, evaluate, evaluate_small_t, count_states
+from .characters import (CharacterSeries, count_states, evaluate,
+                         evaluate_small_t, transform_traces)
 from .modular_data import ModularData, mpq
 
 #: t values safely inside the asymptotic regime for every model with a
@@ -101,14 +101,8 @@ def fit_invariants(trace_fn, grid, err_fn=None, residual_floor=mpf("1e-8"),
     if len(ts) < 4:
         raise ValueError("need at least 4 grid points")
     ys = [t * trace_fn(t) for t in ts]
-    n = len(ts)
-    X = matrix(n, 3)
-    for i, t in enumerate(ts):
-        X[i, 0], X[i, 1], X[i, 2] = mpf(1), t, t * t
-    Y = matrix(ys)
-    beta = lu_solve(X.T * X, X.T * Y)
-    fitvals = X * beta
-    residual = max(abs(fitvals[i] - ys[i]) for i in range(n))
+    beta, fitvals = _least_squares(ts, ys, 3)
+    residual = max(abs(fitvals[i] - ys[i]) for i in range(len(ts)))
     err = mpf(0)
     if err_fn is not None:
         err = max(abs(mpf(err_fn(t))) for t in ts)
@@ -123,6 +117,14 @@ def fit_invariants(trace_fn, grid, err_fn=None, residual_floor=mpf("1e-8"),
     return AsymptoticFit(n_dim=_local_dimension(trace_fn, ts),
                          a0=beta[0], a1=beta[1], a2=beta[2],
                          residual=residual, grid=tuple(ts))
+
+
+def _least_squares(xs, ys, k):
+    """Least-squares coefficients of ys against the first k of the columns
+    1, x, x*x, from the normal equations.  Returns (beta, X * beta)."""
+    X = matrix([(mpf(1), x, x * x)[:k] for x in xs])
+    beta = lu_solve(X.T * X, X.T * matrix(ys))
+    return beta, X * beta
 
 
 def _local_dimension(trace_fn, ts):
@@ -155,9 +157,8 @@ def kw_ratio(md: ModularData, all_series, rho, sigma, t):
     traces; converges to d(rho)/d(sigma) as t -> 0+."""
     i = md.model.sector_index(rho)
     j = md.model.sector_index(sigma)
-    num = evaluate_small_t(md, all_series, i, mpf(t), shifted=False).value
-    den = evaluate_small_t(md, all_series, j, mpf(t), shifted=False).value
-    return num / den
+    num, den = transform_traces(md, all_series, t, shifted=False, rows=(i, j))
+    return num.value / den.value
 
 
 def index_density_derivative(log_trace_t, t, step=None, richardson=True):
@@ -260,18 +261,12 @@ def cardy_count_check(series: CharacterSeries, lam_lo, lam_hi,
     xs = [sqrt(mpf(l)) for l in lams]
     ys = [log(mpf(cnt)) for cnt in counts]
 
-    def ls2(us, vs):
-        n = len(us)
-        X = matrix(n, 2)
-        for i, u in enumerate(us):
-            X[i, 0], X[i, 1] = mpf(1), u
-        beta = lu_solve(X.T * X, X.T * matrix(vs))
-        fit = X * beta
-        sse = sum((fit[i] - vs[i]) ** 2 for i in range(n))
-        return beta, sse
+    def ls2(us):
+        beta, fit = _least_squares(us, ys, 2)
+        return beta, sum((fit[i] - ys[i]) ** 2 for i in range(len(ys)))
 
-    beta_sqrt, sse_sqrt = ls2(xs, ys)
-    beta_log, sse_log = ls2([log(mpf(l)) for l in lams], ys)
+    beta_sqrt, sse_sqrt = ls2(xs)
+    beta_log, sse_log = ls2([log(mpf(l)) for l in lams])
     sub = bool(sse_log < sse_sqrt)
     target = 2 * pi * sqrt(mpq(series.c) / 6) if series.c > 0 else mpf(0)
     rel = (beta_sqrt[1] - target) / target if target != 0 else mpf("inf")
@@ -297,18 +292,14 @@ def _circle_trace(length: float, t: float) -> float:
     multiplicity 2 for k >= 1, plus the zero mode."""
     w = (2.0 * math.pi / length) ** 2
     kmax = int(math.ceil(math.sqrt(80.0 / (t * w)))) + 1
-    ks = np.arange(1, kmax + 1)
-    return 1.0 + 2.0 * float(np.exp(-t * w * ks * ks).sum())
+    return 1.0 + 2.0 * math.fsum(math.exp(-t * w * k * k)
+                                 for k in range(1, kmax + 1))
 
 
 def _torus_trace(length: float, t: float) -> float:
-    """Square torus: eigenvalues (2 pi/length)^2 (k1^2 + k2^2), k in Z^2,
-    summed directly over the lattice."""
-    w = (2.0 * math.pi / length) ** 2
-    kmax = int(math.ceil(math.sqrt(80.0 / (t * w)))) + 1
-    ks = np.arange(-kmax, kmax + 1)
-    e = np.exp(-t * w * ks * ks)
-    return float(np.outer(e, e).sum())
+    """Square torus: eigenvalues (2 pi/length)^2 (k1^2 + k2^2), k in Z^2.
+    The lattice sum factorizes, so the trace is the circle's squared."""
+    return _circle_trace(length, t) ** 2
 
 
 def weyl_heat_demo(manifold, t_grid) -> WeylReport:
@@ -325,14 +316,15 @@ def weyl_heat_demo(manifold, t_grid) -> WeylReport:
         n, tracer, vol = 2, _torus_trace, length * length
     else:
         raise ValueError(f"unknown manifold {kind!r}")
-    ts = np.asarray([float(t) for t in t_grid])
-    traces = np.asarray([tracer(length, t) for t in ts])
-    ys = (4.0 * math.pi * ts) ** (n / 2.0) * traces
-    X = np.vstack([np.ones_like(ts), ts, ts * ts]).T
-    beta, *_ = np.linalg.lstsq(X, ys, rcond=None)
+    ts = [float(t) for t in t_grid]
+    traces = [tracer(length, t) for t in ts]
+    ys = [(4.0 * math.pi * t) ** (n / 2.0) * tr for t, tr in zip(ts, traces)]
+    # From 40 digits up the float results no longer depend on the precision.
+    with mp.workdps(40):
+        beta, _ = _least_squares([mpf(t) for t in ts], [mpf(y) for y in ys], 3)
     return WeylReport(manifold=kind, n=n, volume=float(beta[0]), a1=float(beta[1]),
                       analytic_volume=float(vol),
-                      traces=tuple(zip(ts.tolist(), traces.tolist())))
+                      traces=tuple(zip(ts, traces)))
 
 
 # -------------------------------------------------- two-dimensional combine
@@ -378,10 +370,8 @@ def two_dim_log_trace(spec: TwoDimSpec):
 
     def fn(t):
         t = mpf(t)
-        tr_l = [evaluate_small_t(md_l, ser_l, i, t, shifted=False).value
-                for i in range(len(ser_l))]
-        tr_r = [evaluate_small_t(md_r, ser_r, j, t, shifted=False).value
-                for j in range(len(ser_r))]
+        tr_l = [tv.value for tv in transform_traces(md_l, ser_l, t, shifted=False)]
+        tr_r = [tv.value for tv in transform_traces(md_r, ser_r, t, shifted=False)]
         acc = mpf(0)
         for i, row in enumerate(spec.Z):
             for j, z in enumerate(row):

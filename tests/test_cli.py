@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -255,3 +259,46 @@ def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
         assert str(lab.MAX_DIM) in json.loads(err)["error"]
     cli.RunConfig(command="lab", dims=(4, 4, 4)).validate()
     assert lab.MAX_DIM == 64
+
+
+def test_grid_count_limit_refused_before_any_work(capsys, monkeypatch):
+    import cftinv.cli as cli
+
+    def never(*args):
+        raise AssertionError("a grid point was built past the count limit")
+
+    monkeypatch.setattr(cli, "decstr", never)
+    over = cli.MAX_GRID_POINTS + 1
+    for argv in (("characters", "--grid", f"0.1:1:{over}"),
+                 ("fock", "--grid", f"0.01:1:{over}:log")):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert str(cli.MAX_GRID_POINTS) in json.loads(err)["error"]
+    monkeypatch.undo()
+    assert len(parse_grid(f"0.1:1:{cli.MAX_GRID_POINTS}")) == cli.MAX_GRID_POINTS
+
+
+def test_cutoff_limit_refused_before_any_work(capsys, monkeypatch):
+    import cftinv.cli as cli
+
+    def never(*args):
+        raise AssertionError("the series were built past the --cutoff limit")
+
+    monkeypatch.setattr(cli.characters, "all_character_series", never)
+    for argv in (("characters", "--dump", "--cutoff", str(cli.MAX_CUTOFF + 1)),
+                 ("invariants", "--cutoff", str(cli.MAX_CUTOFF + 1))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert str(cli.MAX_CUTOFF) in json.loads(err)["error"]
+    cli.RunConfig(command="characters", cutoff=cli.MAX_CUTOFF).validate()
+    assert cli.MAX_CUTOFF >= 20000       # perfbench's series dumps
+
+
+def test_cli_import_loads_no_numpy():
+    import cftinv
+    src = str(Path(cftinv.__file__).resolve().parent.parent)
+    probe = "import sys, cftinv.cli; print('numpy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "False"

@@ -320,3 +320,37 @@ def test_fit_report_shape(fit3):
     assert set(rep["targets"]) == {"a0", "a1", "a2"}
     assert all(rep["abs_dev"][k] >= 0 for k in rep["abs_dev"])
     assert len(rep["grid"]) == 5
+
+
+def test_transform_users_evaluate_each_dual_once(md3_mod, series3_small_mod,
+                                                 md4, series4_small,
+                                                 monkeypatch):
+    """kw_ratio evaluates the n dual characters once (was 2n) and the
+    two-dimensional trace n_l + n_r of them per t (was n_l^2 + n_r^2), with
+    values bit-equal to evaluating each sector's transform on its own."""
+    t = mpf("0.01")
+
+    def one(md, series, i):
+        return ci.evaluate_small_t(md, series, i, t, shifted=False).value
+
+    want_ratio = one(md3_mod, series3_small_mod, 1) / one(md3_mod, series3_small_mod, 0)
+    z = [[1, 0, 0, 1, 0, 0], [0, 1, 0, 0, 0, 0], [0, 0, 2, 0, 0, 1]]
+    spec = ci.two_dim_spec(z, md3_mod, series3_small_mod, md4, series4_small)
+    acc = mpf(0)
+    for i, row in enumerate(z):
+        for j, k in enumerate(row):
+            if k:
+                acc += k * one(md3_mod, series3_small_mod, i) * one(md4, series4_small, j)
+    calls = [0]
+    real = ci.characters.evaluate
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ci.characters, "evaluate", counted)
+    assert ci.kw_ratio(md3_mod, series3_small_mod, 1, 0, t) == want_ratio
+    assert calls[0] == 3
+    calls[0] = 0
+    assert ci.spectral.two_dim_log_trace(spec)(t) == log(acc)
+    assert calls[0] == 3 + 6
