@@ -9,7 +9,7 @@ so the test suite never collects it:
 ``benchmarks/compact.py`` folds two such files (before, after) into a
 committed ``BENCH_<n>.json``.  All cases run at 50 digits, the CLI's
 default, on seeded random densities; the inputs (and the canonical flow of
-the index product) are built outside the timed call.
+``test_index_product``) are built outside the timed call.
 """
 
 import random
@@ -41,6 +41,21 @@ def test_index_product(benchmark, dims):
     flow = ci.canonical_flow(triple, rho1, rho3)
     out = benchmark(ci.index_product, triple, rho1, rho3, flow)
     assert out.deviation < mpf("1e-8")
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (4, 4, 4)], ids=str)
+def test_canonical_flow_and_index_product(benchmark, dims):
+    """The flow and its masses together: the flow does the decomposing."""
+    rng = random.Random(1)
+    triple = ci.FiniteFactorTriple(*dims)
+    rho1 = lab.random_density(dims[0], rng)
+    rho3 = lab.random_density(dims[2], rng)
+
+    def run():
+        return ci.index_product(triple, rho1, rho3,
+                                ci.canonical_flow(triple, rho1, rho3))
+
+    assert benchmark(run).deviation < mpf("1e-8")
 
 
 def test_araki_relative_entropy(benchmark):

@@ -137,15 +137,36 @@ def _tail_bound(cutoff: int, t, h, c, shifted: bool):
     return front * (r ** n1) / (1 - r)
 
 
-def required_cutoff(t, tol, h=0, c=0, shifted=True) -> int:
-    """Smallest power-of-two-ish cutoff whose certified tail is below tol."""
-    n = 16
-    while n < 10 ** 9:
-        b = _tail_bound(n, mpf(t), mpf(h), mpf(c), shifted)
-        if b is not None and b < tol:
-            return n
-        n *= 2
-    raise InsufficientCutoffError(f"no practical cutoff certifies tol={tol} at t={t}")
+def required_cutoff(t, tol, h=0, c=None, shifted=True) -> int:
+    """Smallest cutoff whose certified tail is below tol for a sector of
+    weight h, with c the c/24 shift that :func:`evaluate` uses.  The default
+    c = 1/24 (central charge 1) serves every sector of every minimal model,
+    whose h >= 0 and c < 1.
+
+    The bound is None (no certificate) up to some cutoff and strictly
+    decreasing after it, so a doubling search followed by bisection finds
+    the cutoff.  Refuses when none below 10^9 suffices.
+    """
+    t, h = mpf(t), mpf(h)
+    c = mpf(1) / 24 if c is None else mpf(c)
+
+    def enough(n):
+        b = _tail_bound(n, t, h, c, shifted)
+        return b is not None and b < tol
+
+    lo, hi = -1, 0
+    while not enough(hi):
+        lo, hi = hi, max(1, 2 * hi)
+        if hi >= 10 ** 9:
+            raise InsufficientCutoffError(
+                f"no practical cutoff certifies tol={tol} at t={t}")
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if enough(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @lru_cache(maxsize=256)
@@ -153,27 +174,10 @@ def _terms_that_count(t, prec: int) -> int:
     """Smallest n with _tail_bound(n - 1, t, 0, 0, unshifted) < 2^-(prec+3).
 
     Past index n - 1 the tail sum_k p(k) q^k is below an eighth of half an
-    ulp of any number >= 1 at ``prec`` bits.  The bound is None (no
-    certificate) up to some n and strictly decreasing after it, so a
-    doubling search followed by bisection finds n.  Cached because the S
-    transform evaluates every sector at the same t.
+    ulp of any number >= 1 at ``prec`` bits.  Cached because the S transform
+    evaluates every sector at the same t.
     """
-    eps = mpf(2) ** -(prec + 3)
-
-    def small(n):
-        b = _tail_bound(n - 1, t, 0, 0, shifted=False)
-        return b is not None and b < eps
-
-    lo, hi = 0, 1
-    while not small(hi):
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if small(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return required_cutoff(t, mpf(2) ** -(prec + 3), 0, 0, False) + 1
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ report files.
 
 Precedence for settings is flags > config file > defaults; the config file
 is flat ``key = value`` text with the same keys as the long options
-(precision, cutoff, seed, format, output).  The environment variable
+(m, sector, grid, precision, cutoff, seed, output, format, dims); any other
+key is refused as a usage error.  The environment variable
 CFTINV_DPS overrides the default precision.
 """
 
@@ -111,6 +112,8 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"bad config line: {raw.strip()!r}")
             key, val = (s.strip() for s in line.split("=", 1))
+            if key not in _SETTINGS:
+                raise ConfigError(f"unknown config key {key!r} in {path}")
             out[key] = val
     return out
 

@@ -12,9 +12,10 @@ Spatial derivatives: for a state phi on the algebra of a leg subset R and a
 state psi on its complement, d(phi)/d(psi) is the positive operator
 rho_phi (x) rho_psi^{-1}; its imaginary powers implement the modular group
 of phi on R and the inverse flow of psi on the commutant.  Flows are kept
-in leg-factorized form (one Hermitian generator per leg block plus a scalar),
-which both enforces the invariance Ad V(t) N_i = N_i structurally and keeps
-all computations on small per-leg matrices.
+in leg-factorized form (one Hermitian generator per leg, held as its
+spectrum, plus a scalar), which both enforces the invariance
+Ad V(t) N_i = N_i structurally and keeps all computations on small per-leg
+matrices.
 
 Convention fixed here once: the flow generator K of the canonical setup is
 K = log rho_1 on leg 1 minus log rho_3 on leg 3, i.e. d(psi_1)/d(phi_2) = e^K
@@ -27,7 +28,10 @@ One eigendecomposition per density: :func:`spectrum` calls ``eighe`` once
 and applies the positivity/condition guard, and every f(A) is read off the
 resulting :class:`Spectrum` as Q diag(f(lambda)) Q*.  ``eighe`` is
 deterministic at a given precision, so reusing a spectrum gives the same
-bits, and the same report bytes, as decomposing A again.  The oracle
+bits, and the same report bytes, as decomposing A again.  A flow generator
+K = log rho is the spectrum of rho with log applied to its eigenvalues, so
+the canonical flow decomposes no generator and its weight masses are sums
+of exp(+-lambda) over those eigenvalues.  The oracle
 :func:`relative_entropy_oracle` and the flow hypothesis check decompose on
 their own, so they share no state with what they check.
 
@@ -249,11 +253,6 @@ def spectrum(a, what=None, error=RankDeficiencyError) -> Spectrum:
     return out
 
 
-def herm_fun(a, f):
-    """f(A) for Hermitian A through its eigendecomposition."""
-    return spectrum(a).fun(f)
-
-
 def mat_log(a, what="density"):
     return spectrum(a, what).log()
 
@@ -395,65 +394,56 @@ class VectorState:
 
 @dataclass(frozen=True)
 class FlowGenerator:
-    """Self-adjoint generator K = sum of per-block Hermitian terms plus a
-    scalar; V(t) = e^{itK}.  Blocks are disjoint leg groups, so Ad V(t)
-    preserves every leg algebra by construction."""
+    """Self-adjoint generator K = sum of per-leg Hermitian terms plus a
+    scalar; V(t) = e^{itK}.  Each term acts on one leg, so Ad V(t) preserves
+    every leg algebra by construction, and is kept as its spectrum."""
 
     dims: tuple
-    blocks: tuple          # ((legs tuple, Hermitian matrix or None), ...)
+    terms: tuple           # one Spectrum per leg, None for a zero term
     const: object
 
     def generator_on(self, legs):
-        """Dense generator restricted to a leg subset (must be a union of
-        blocks; the scalar part is not included)."""
+        """Dense generator restricted to a leg subset (the scalar part is
+        not included)."""
         legs = tuple(legs)
-        covered = []
-        mats = []
         sub = [self.dims[l] for l in legs]
-        for bl, k in self.blocks:
-            if all(l in legs for l in bl):
-                covered.extend(bl)
-                if k is not None:
-                    pos = tuple(legs.index(l) for l in bl)
-                    mats.append((pos, k))
-            elif any(l in legs for l in bl):
-                raise HypothesisViolationError(
-                    f"flow block {bl} straddles the split at legs {legs}")
         acc = matrix(math.prod(sub), math.prod(sub))
-        for pos, k in mats:
-            acc += embed(k, pos, sub)
+        for l, sp in enumerate(self.terms):
+            if l in legs and sp is not None:
+                acc += embed(sp.fun(lambda x: x), (legs.index(l),), sub)
         return acc
 
     def exp_factor(self, s):
-        """e^{sK} as per-leg-block dense factors, returned as one dense
-        matrix on the full space (cheap: exponentials stay per block)."""
-        n = math.prod(self.dims)
+        """e^{sK} as one dense matrix on the full space, the product of the
+        per-leg factors e^{s K_l} read off the spectra."""
         out = None
-        for bl, k in self.blocks:
-            if k is None:
-                f = eye(math.prod(self.dims[l] for l in bl))
-            else:
-                f = herm_fun(k, lambda lam: exp(s * lam))
-            f = embed(f, bl, self.dims)
-            out = f if out is None else matmul(out, f)
+        for l, sp in enumerate(self.terms):
+            if sp is not None:
+                f = embed(sp.fun(lambda lam: exp(s * lam)), (l,), self.dims)
+                out = f if out is None else matmul(out, f)
         if out is None:
-            out = eye(n)
+            out = eye(math.prod(self.dims))
         return exp(s * self.const) * out
 
 
 def flow_from_legs(dims, leg_generators, const=mpf(0)) -> FlowGenerator:
-    blocks = tuple(((l,), k) for l, k in enumerate(leg_generators))
-    return FlowGenerator(dims=tuple(dims), blocks=blocks, const=mpf(const))
+    """The flow with the given dense Hermitian generator (or None) per leg,
+    each decomposed once."""
+    terms = tuple(None if k is None else spectrum(k) for k in leg_generators)
+    return FlowGenerator(dims=tuple(dims), terms=terms, const=mpf(const))
 
 
 def canonical_flow(triple: FiniteFactorTriple, rho1, rho3) -> FlowGenerator:
     """The flow with K = log rho1 on leg 1 and -log rho3 on leg 3, trivial on
     the middle leg: Ad V(t) = modular flow of phi1 on N1 and the inverse
     modular flow of phi2 on N2, compatible with the trace-preserving
-    expectation."""
-    return flow_from_legs(triple.dims,
-                          [mat_log(rho1, "rho1"), None,
-                           -1 * mat_log(rho3, "rho3")])
+    expectation.  The terms are the spectra of rho1 and rho3 with their
+    eigenvalues mapped to log lambda and -log mu."""
+    sp1, sp3 = spectrum(rho1, "rho1"), spectrum(rho3, "rho3")
+    return FlowGenerator(
+        dims=triple.dims, const=mpf(0),
+        terms=(replace(sp1, evals=[log(x) for x in sp1.evals]), None,
+               replace(sp3, evals=[-log(x) for x in sp3.evals])))
 
 
 # -------------------------------------------------------- spatial derivative
@@ -682,15 +672,14 @@ def index_product(triple: FiniteFactorTriple, rho1, rho3,
     d1, d2, d3 = triple.dims
     _flow_matches_state(flow, (0,), rho1, sign=1, tol=tol)
     _flow_matches_state(flow, (2,), rho3, sign=-1, tol=tol)
-    by_leg = {bl: k for bl, k in flow.blocks}
-    k1, k2, k3 = (by_leg.get((l,)) for l in range(3))
-    s1, s2, s3 = (None if k is None else spectrum(k) for k in (k1, k2, k3))
+    s1, s2, s3 = flow.terms
     e = exp(flow.const)
 
     def tr_exp(sp, s, dim):
+        """Tr e^{sK_l}: the sum of exp(s lambda) over the leg's spectrum."""
         if sp is None:
             return mpf(dim)
-        return mp.re(trace(sp.fun(lambda lam: exp(s * lam))))
+        return mp.fsum(exp(s * lam) for lam in sp.evals)
 
     # e^K = sigma_12 (x) rho3^{-1}: lambda3 scales the third factor onto rho3^{-1}
     lam3 = mp.re(trace(matmul(s3.fun(exp), rho3))) / d3 \
@@ -790,12 +779,8 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     d1, d2 = triple.d1, triple.d2
     if triple.d3 != d1:
         raise ValueError("the symmetric setup needs d1 = d3")
-    n = d1 * d2
     sigma = kron(rho1, eye(d2) * (mpf(1) / d2))
-    if state12 is None:
-        w = sigma
-    else:
-        w = state12
+    w = sigma if state12 is None else state12
     # xi = w^{1/2}; check its restriction to N1 is rho1
     tr2 = matrix(d1, d1)
     for a in range(d1):
@@ -804,9 +789,10 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     if max_abs(tr2 - rho1) > mpf("1e-20"):
         raise HypothesisViolationError(
             "state on M1 does not restrict to rho1 on N1")
-    xi = mat_pow(w, mpf("0.5"), "state")
+    sp_w = spectrum(w, "state")
+    xi = sp_w.pow(mpf("0.5"))
     log_ind = 2 * log(mpf(d2))
-    sp_sigma = spectrum(sigma, "sigma")
+    sp_sigma = sp_w if state12 is None else spectrum(sigma, "sigma")
 
     def z(t):
         left = sp_sigma.pow(-mpf(t))

@@ -175,7 +175,7 @@ def mu_n_index(d, mu, n: int):
     return index, root(index, n)
 
 
-def to_json_dict(md: ModularData, dps: int | None = None) -> dict:
+def to_json_dict(md: ModularData) -> dict:
     """JSON document with exact rationals and full-precision decimal strings."""
     model = md.model
     return {
@@ -184,10 +184,10 @@ def to_json_dict(md: ModularData, dps: int | None = None) -> dict:
         "sectors": [
             {"r": sec.r, "s": sec.s,
              "h": f"{sec.h.numerator}/{sec.h.denominator}",
-             "d": decstr(sec.d, dps)}
+             "d": decstr(sec.d)}
             for sec in model.sectors
         ],
-        "S": [[decstr(md.S[i, j], dps) for j in range(md.S.cols)]
+        "S": [[decstr(md.S[i, j]) for j in range(md.S.cols)]
               for i in range(md.S.rows)],
-        "mu": decstr(md.mu, dps),
+        "mu": decstr(md.mu),
     }

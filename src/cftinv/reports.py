@@ -30,23 +30,23 @@ def decstr(x, dps: int | None = None) -> str:
     return mp.nstr(mpf(x), n)
 
 
-def jsonable(obj, dps: int | None = None):
+def jsonable(obj):
     """Recursively convert values to JSON-friendly types (numbers become
     decimal strings, Fractions become 'p/q')."""
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
     if isinstance(obj, (float, mpf, mpc, complex, Fraction)):
-        return decstr(obj, dps)
+        return decstr(obj)
     if isinstance(obj, dict):
-        return {str(k): jsonable(v, dps) for k, v in obj.items()}
+        return {str(k): jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
-        return [jsonable(v, dps) for v in obj]
+        return [jsonable(v) for v in obj]
     return str(obj)
 
 
-def dumps(obj, dps: int | None = None) -> str:
+def dumps(obj) -> str:
     """Deterministic JSON text (sorted keys, 2-space indent, trailing newline)."""
-    return json.dumps(jsonable(obj, dps), sort_keys=True, indent=2) + "\n"
+    return json.dumps(jsonable(obj), sort_keys=True, indent=2) + "\n"
 
 
 def write_text(path, text: str) -> None:
@@ -54,10 +54,10 @@ def write_text(path, text: str) -> None:
         fh.write(text)
 
 
-def csv_text(header, rows, dps: int | None = None) -> str:
+def csv_text(header, rows) -> str:
     """CSV with deterministic decimal-string cells."""
     buf = io.StringIO()
     buf.write(",".join(header) + "\n")
     for row in rows:
-        buf.write(",".join(decstr(c, dps) if not isinstance(c, str) else c for c in row) + "\n")
+        buf.write(",".join(decstr(c) if not isinstance(c, str) else c for c in row) + "\n")
     return buf.getvalue()

@@ -12,7 +12,9 @@ change a bit and must agree with it exactly.
 
 ``mat_pow_fresh``, ``power_it_fresh`` and ``cocycle_direct_fresh`` decompose
 every density afresh on each call; the lab's shared spectra must reproduce
-them bit for bit.
+them bit for bit.  ``index_product_fresh`` is the weight-mass formula that
+decomposes the dense flow generators again and traces dense exponentials;
+the lab's sums over the flow's spectra must agree with it to rounding.
 """
 
 from fractions import Fraction
@@ -22,7 +24,7 @@ from mpmath import mp, mpf, exp, log, pi, eighe, matrix
 
 from cftinv.characters import TraceValue, _tail_bound, required_cutoff
 from cftinv.errors import InsufficientCutoffError
-from cftinv.lab import embed
+from cftinv.lab import embed, matmul, trace
 from cftinv.modular_data import mpq
 
 
@@ -54,13 +56,18 @@ def evaluate_full_sum(series, t, shifted=True, tol=None):
     return TraceValue(value=value, error=tail + rounding)
 
 
-def mat_pow_fresh(a, s):
-    """A^s through a fresh eigendecomposition of Hermitian positive A."""
+def herm_fun_fresh(a, f):
+    """f(A) through a fresh eigendecomposition of Hermitian A."""
     e, q = eighe(a)
     d = matrix(len(e), len(e))
     for i in range(len(e)):
-        d[i, i] = exp(s * log(e[i]))
+        d[i, i] = f(e[i])
     return q * d * q.T.conjugate()
+
+
+def mat_pow_fresh(a, s):
+    """A^s through a fresh eigendecomposition of Hermitian positive A."""
+    return herm_fun_fresh(a, lambda lam: exp(s * log(lam)))
 
 
 def power_it_fresh(der, t):
@@ -75,6 +82,29 @@ def cocycle_direct_fresh(psi, psi0, t):
     """psi^{it} psi0^{-it}, decomposing psi and psi0 again."""
     t = mpf(t)
     return mat_pow_fresh(psi, 1j * t) * mat_pow_fresh(psi0, -1j * t)
+
+
+def index_product_fresh(triple, rho1, rho3, flow):
+    """(mass1, mass2) of :func:`cftinv.lab.index_product`, decomposing the
+    dense generators k_l of the flow's legs again and tracing e^{+-k_l}."""
+    d1, d2, d3 = triple.dims
+    ks = [None if sp is None else flow.generator_on((l,))
+          for l, sp in enumerate(flow.terms)]
+    e = exp(flow.const)
+
+    def tr_exp(k, s, dim):
+        if k is None:
+            return mpf(dim)
+        return mp.re(trace(herm_fun_fresh(k, lambda lam: exp(s * lam))))
+
+    k1, k2, k3 = ks
+    lam3 = mp.re(trace(matmul(herm_fun_fresh(k3, exp), rho3))) / d3 \
+        if k3 is not None else mpf(1)
+    mass1 = e * lam3 * tr_exp(k1, 1, d1) * tr_exp(k2, 1, d2)
+    lam1 = mp.re(trace(matmul(herm_fun_fresh(k1, lambda x: exp(-x)), rho1))) \
+        / d1 if k1 is not None else mpf(1)
+    mass2 = (1 / e) * lam1 * tr_exp(k2, -1, d2) * tr_exp(k3, -1, d3)
+    return mass1, mass2
 
 
 def partitions_of(n, largest=None):

@@ -6,6 +6,7 @@ from mpmath import mp, mpf, fabs, log, pi
 import cftinv as ci
 from cftinv import characters
 from cftinv.errors import InsufficientCutoffError
+from cftinv.modular_data import mpq
 from oracles import evaluate_full_sum, irreducible_graded_dims
 
 
@@ -152,6 +153,28 @@ def test_required_cutoff_is_sufficient(model3):
     s = ci.character_coeffs(model3, model3.sectors[0], need)
     tv = ci.evaluate(s, "0.05", tol=tol)
     assert tv.error < tol + tv.value * mpf("1e-40")
+
+
+@pytest.mark.parametrize("t, tol, h, c, shifted", [
+    ("0.05", "1e-30", 0, 0, True),
+    ("0.3", "1e-50", "1/16", "1/48", True),
+    ("0.3", "1e-50", "1/16", None, True),  # the default c = 1/24
+    ("2", "1e-40", 0, 0, False),
+    ("250", "1e-60", 0, 0, False),       # a_0 alone: cutoff 0
+])
+def test_required_cutoff_is_minimal(t, tol, h, c, shifted):
+    """The returned cutoff certifies tol and the one below it does not."""
+    t, tol, h = mpf(t), mpf(tol), mpq(Fraction(h))
+    if c is None:
+        need, c = ci.required_cutoff(t, tol, h), mpf(1) / 24
+    else:
+        c = mpq(Fraction(c))
+        need = ci.required_cutoff(t, tol, h, c, shifted)
+    b = characters._tail_bound(need, t, h, c, shifted)
+    assert b is not None and b < tol
+    if need > 0:
+        below = characters._tail_bound(need - 1, t, h, c, shifted)
+        assert below is None or below >= tol
 
 
 def test_small_t_matches_direct(md3, series3):

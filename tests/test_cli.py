@@ -194,6 +194,16 @@ def test_config_file_bad_line(tmp_path):
         load_config_file(str(cfg))
 
 
+def test_config_file_unknown_key_refused(capsys, tmp_path):
+    cfg = tmp_path / "typo.cfg"
+    cfg.write_text("precison = 60\n")
+    code, out, err = run(capsys, "--config", str(cfg), "model", "--m", "3")
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    doc = json.loads(err)
+    assert doc["exit"] == 1 and "'precison'" in doc["error"]
+
+
 def test_env_precision(capsys, monkeypatch):
     monkeypatch.setenv("CFTINV_DPS", "25")
     code, _, err = run(capsys, "model", "--m", "3")

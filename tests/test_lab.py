@@ -7,7 +7,7 @@ import cftinv as ci
 from cftinv import lab
 from cftinv.errors import (HypothesisViolationError, IdentityViolationError,
                            NotSeparatingError, RankDeficiencyError)
-from oracles import cocycle_direct_fresh, power_it_fresh
+from oracles import cocycle_direct_fresh, index_product_fresh, power_it_fresh
 
 
 @pytest.fixture(autouse=True)
@@ -189,7 +189,7 @@ def test_spectrum_functions_and_guard():
     sp = lab.spectrum(rho, "rho")
     assert lab.max_abs(sp.fun(lambda lam: lam) - rho) < mpf("1e-28")
     assert lab.max_abs(sp.pow(2) - rho * rho) < mpf("1e-28")
-    assert lab.max_abs(lab.herm_fun(sp.log(), exp) - rho) < mpf("1e-28")
+    assert lab.max_abs(lab.spectrum(sp.log()).fun(exp) - rho) < mpf("1e-28")
     sing = mp.diag([mpf(1), mpf(0)])
     lab.spectrum(sing)                    # no guard without a name
     with pytest.raises(RankDeficiencyError, match="sing"):
@@ -257,8 +257,8 @@ def test_eighe_calls_per_function(monkeypatch):
                    "spatial_cocycle_factorization_residual": 3,
                    "cocycle_identity_residual": 2,
                    "cocycle_chain_residual": 3,
-                   "index_product": 4,
-                   "entropy_derivative_identity": 2}
+                   "index_product": 2,
+                   "entropy_derivative_identity": 1}
 
 
 # -------------------------------------------------------- spatial derivative
@@ -417,7 +417,7 @@ def test_weight_mass_square_setup_oracle():
     oracle = lab.weight_mass_cocycle_oracle(flow, state)
     assert fabs(mass - oracle) < mpf("1e-24")
     # d(phi)/d(psi) = e^K pins the weight density to e^{-k2}: mass = Tr e^{-k2}
-    solved = lab.trace(lab.herm_fun(k2, lambda x: exp(-x)))
+    solved = lab.trace(lab.spectrum(k2).fun(lambda x: exp(-x)))
     assert fabs(mass - solved) < mpf("1e-24")
 
 
@@ -475,9 +475,44 @@ def test_index_product_swap_symmetry_structure():
     triple = ci.FiniteFactorTriple(2, 3, 2)
     rho = lab.random_density(2, rng)
     flow = ci.canonical_flow(triple, rho, rho)
-    k1 = flow.blocks[0][1]
-    k3 = flow.blocks[2][1]
+    k1 = flow.generator_on((0,))
+    k3 = flow.generator_on((2,))
     assert lab.max_abs(k1 + k3) < mpf("1e-26")   # swap sends K to -K
+
+
+def test_canonical_flow_generators_are_the_log_densities():
+    """The dense generators of the canonical flow are mat_log(rho1) and
+    -1 * mat_log(rho3) bit for bit, so the hypothesis check sees the same
+    matrices as when the flow stored them."""
+    rng = rnd(46)
+    triple = ci.FiniteFactorTriple(3, 2, 2)
+    rho1, rho3 = lab.random_density(3, rng), lab.random_density(2, rng)
+    for dps in (30, 50):
+        with mp.workdps(dps):
+            flow = ci.canonical_flow(triple, rho1, rho3)
+            assert flow.terms[1] is None
+            for got, want in ((flow.generator_on((0,)), lab.mat_log(rho1)),
+                              (flow.generator_on((2,)),
+                               -1 * lab.mat_log(rho3))):
+                assert (got.rows, got.cols) == (want.rows, want.cols)
+                for i in range(want.rows):
+                    for j in range(want.cols):
+                        assert _raw(got[i, j]) == _raw(want[i, j]), (dps, i, j)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_index_product_matches_fresh_decompositions(d):
+    """The masses summed over the flow's spectra agree with decomposing the
+    dense generators again (the former formula) to rounding."""
+    rng = rnd(47 + d)
+    triple = ci.FiniteFactorTriple(d, 3, 5 - d)
+    rho1, rho3 = lab.random_density(d, rng), lab.random_density(5 - d, rng)
+    flow = ci.canonical_flow(triple, rho1, rho3)
+    out = ci.index_product(triple, rho1, rho3, flow)
+    mass1, mass2 = index_product_fresh(triple, rho1, rho3, flow)
+    assert fabs(out.mass1 - mass1) < mpf("1e-28") * mass1
+    assert fabs(out.mass2 - mass2) < mpf("1e-28") * mass2
+    assert fabs(out.product - 9) < mpf("1e-26")
 
 
 def test_index_product_hypothesis_check():
