@@ -35,13 +35,14 @@ EXIT_OK, EXIT_CONFIG, EXIT_VERIFY = 0, 1, 2
 FIT_TOLERANCES = {"a0": mpf("1e-6"), "a1": mpf("1e-4"), "a2": mpf("1e-2")}
 
 #: Largest --cutoff.  The series build grows like cutoff^1.5 per sector:
-#: ``characters --m 8 --dump --cutoff 40000`` takes 13.6 s and 149 MB on a
-#: Xeon VM core, against 4.8 s and 74 MB at 20000, perfbench's dump cutoff.
+#: ``characters --m 8 --cutoff 40000 --grid 1:1:1`` builds all 28 sectors in
+#: 13.8 s and 137 MB on a Xeon VM core; ``--dump`` builds only the sector it
+#: prints, 2.9 s and 41 MB at 40000, 1.4 s and 29 MB at 20000.
 MAX_CUTOFF = 40000
 
 #: Largest grid count; parse_grid refuses more before building any point.
 #: Cost is linear in the count: 1000 points take 28 s for
-#: ``characters --m 8`` and 200 s for ``fock``.
+#: ``characters --m 8`` and 127 s for ``fock``.
 MAX_GRID_POINTS = 1000
 
 
@@ -233,7 +234,7 @@ def battery_fock(b: Battery, seed: int, corrupt_sign: bool = False):
                 closed = exp(-fock.log_gamma_trace(a, stats))
             cut = {1: 120, 2: 60, 3: 24, 4: 14}[d]
             bf = fock.gamma_trace_bruteforce(a, stats, cut)
-            excess = abs(closed - bf.value) - bf.tail_bound
+            excess = abs(closed - bf.value) - (bf.tail_bound + bf.rounding)
             worst = max(worst, excess)
     b.check("fock-det-vs-bruteforce", worst, "1e-25")
     h = fock.positive(*range(1, 2001))
@@ -383,14 +384,17 @@ def cmd_model(cfg: RunConfig) -> int:
 
 def cmd_characters(cfg: RunConfig, dump: bool = False) -> int:
     model = modular_data.build_minimal_model(cfg.m)
-    md = modular_data.modular_matrices(model)
-    series = characters.all_character_series(model, cfg.cutoff)
     idx = model.sector_index(cfg.sector)
     if dump:
-        sys.stdout.write(characters.coeff_dump(series[idx]))
+        # the dump prints one sector, so it builds that sector's series only
+        text = characters.coeff_dump(characters.character_coeffs(
+            model, model.sectors[idx], cfg.cutoff))
+        sys.stdout.write(text)
         if cfg.output:
-            write_text(cfg.output, characters.coeff_dump(series[idx]))
+            write_text(cfg.output, text)
         return EXIT_OK
+    md = modular_data.modular_matrices(model)
+    series = characters.all_character_series(model, cfg.cutoff)
     rows = characters.values_csv_rows(
         series, md, cfg.grid or spectral.DEFAULT_FIT_GRID)
     doc = {"schema": SCHEMA_VERSION, "command": "characters",

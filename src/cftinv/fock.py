@@ -14,16 +14,27 @@ direct-sum definition 1 (+) a (+) (a (x) a) (+) ... means on the symmetric /
 antisymmetric subspaces, and reports a rigorous union-bound tail for the
 truncated Bose sum.
 
+The brute force runs on fixed-point Python integers in units of 2^-P,
+P = prec + 40 bits (the idiom of mpmath's ``exp_basecase``).  Each power
+lambda^n is floor(lambda^n 2^P), formed exactly from the mantissa of lambda;
+one depth-first walk over the occupation box (cutoff 1 for Fermi) multiplies
+one power per mode into a running product and floors it after each step,
+and sums every leaf.  No mode is ever summed out by distributivity, since
+that would assume the product identity under test.  The walk never rounds
+up, so the result lies below the exact box sum by less than
+(2d - 1) leaves 2^-P plus the one rounding down of the total to working
+precision; ``BruteForceTrace.rounding`` reports that bound.
+
 All operators here are spectra: every formula in scope is spectral, so the
 diagonal representation loses nothing.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, exp, log, pi
+from mpmath.libmp import from_man_exp, round_ceiling, round_floor
 
 from .errors import IdentityViolationError, KindMismatchError
 
@@ -92,7 +103,37 @@ def log_gamma_trace(a: OneParticleOperator, statistics: str):
 class BruteForceTrace:
     value: object
     tail_bound: object    # rigorous bound on the truncation (0 for fermi)
-    terms: int
+    rounding: object      # rigorous bound on (exact box sum) - value >= 0
+    terms: int            # leaves of the occupation box
+
+
+def _fixed_powers(lam, cut: int, prec: int) -> list:
+    """floor(lam^n 2^prec) for n = 0..cut, each from the exact power of the
+    mantissa of ``lam``, so each is low by less than 2^-prec."""
+    _, man, e, _ = lam._mpf_
+    row = [1 << prec]
+    power = 1
+    for n in range(1, cut + 1):
+        power *= man
+        shift = n * e + prec
+        row.append(power << shift if shift >= 0 else power >> -shift)
+    return row
+
+
+def _box_sum(rows, prec: int) -> int:
+    """Sum over the box of the floored leaf products, in units of 2^-prec.
+
+    The running product starts at 1, so the first mode's product is exact
+    and each leaf floors d - 1 products."""
+    inner, last = rows[:-1], rows[-1]
+    depth = len(inner)
+
+    def walk(mode, partial):
+        if mode == depth:
+            return sum([partial * p >> prec for p in last])
+        return sum([walk(mode + 1, partial * p >> prec) for p in inner[mode]])
+
+    return walk(0, 1 << prec)
 
 
 def gamma_trace_bruteforce(a: OneParticleOperator, statistics: str,
@@ -105,54 +146,52 @@ def gamma_trace_bruteforce(a: OneParticleOperator, statistics: str,
         sum_i l_i^{N+1}/(1-l_i) * prod_{j != i} (1-l_j)^{-1},
 
     which is rigorous without assuming the product identity being tested.
-    Fermi: n_i in {0, 1}, an exact finite sum (Pauli truncation).
+    Fermi: n_i in {0, 1}, an exact finite sum (Pauli truncation); tail 0.
+
+    Rounding: with P = prec + 40, each fixed-point power y = floor(x 2^P)/2^P
+    of an exact power x <= 1 has 0 <= x - y < 2^-P.  Along a leaf the running
+    product p_k of the first k powers is floored after each multiply; with
+    X_k the exact product,
+
+        X_{k+1} - p_{k+1} = (X_k - p_k) x + p_k (x - y) + (p_k y - floor(p_k y)),
+
+    every term >= 0 and x, p_k <= 1, so 0 <= X_k - p_k < (2k - 1) 2^-P by
+    induction.  The walk total is therefore low by less than
+    (2d - 1) leaves 2^-P.  It is rounded down once to working precision, and
+    that remainder is known exactly, so ``rounding`` (rounded up) bounds
+    exact - value, which is never negative.
     """
+    if occupancy_cutoff < 0:
+        raise ValueError(f"occupancy_cutoff must be >= 0, got {occupancy_cutoff}")
     if a.kind != "contraction":
         raise KindMismatchError("gamma_trace_bruteforce needs a contraction")
+    if statistics not in ("bose", "fermi"):
+        raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
     lams = a.eigenvalues
     d = len(lams)
     if d == 0:
-        return BruteForceTrace(value=mpf(1), tail_bound=mpf(0), terms=1)
-    if statistics == "fermi":
-        total = mpf(0)
-        count = 0
-        for occ in itertools.product((0, 1), repeat=d):
-            term = mpf(1)
-            for lam, n in zip(lams, occ):
-                if n:
-                    term *= lam
-            total += term
-            count += 1
-        return BruteForceTrace(value=total, tail_bound=mpf(0), terms=count)
-    if statistics != "bose":
-        raise ValueError(f"statistics must be 'bose' or 'fermi', got {statistics!r}")
-    cut = occupancy_cutoff
-    # depth-first over occupation vectors, carrying the partial product so
-    # each leaf costs one multiply; powers per mode are precomputed
-    powers = [[lam ** n for n in range(cut + 1)] for lam in lams]
-    count = 0
-
-    def walk(mode, partial):
-        nonlocal count
-        if mode == d:
-            count += 1
-            return partial
-        acc = mpf(0)
-        for p in powers[mode]:
-            acc += walk(mode + 1, partial * p)
-        return acc
-
-    total = walk(0, mpf(1))
+        return BruteForceTrace(value=mpf(1), tail_bound=mpf(0),
+                               rounding=mpf(0), terms=1)
+    cut = occupancy_cutoff if statistics == "bose" else 1
+    prec = mp.prec + 40
+    total = _box_sum([_fixed_powers(lam, cut, prec) for lam in lams], prec)
+    terms = (cut + 1) ** d
+    value = mp.make_mpf(from_man_exp(total, -prec, mp.prec, round_floor))
+    _, man, e, _ = value._mpf_           # value >= 1, so e + prec > 0
+    slack = (2 * d - 1) * terms + total - (man << (e + prec))
+    rounding = mp.make_mpf(from_man_exp(slack, -prec, mp.prec, round_ceiling))
     tail = mpf(0)
-    for i, lam in enumerate(lams):
-        if lam == 0:
-            continue
-        piece = lam ** (cut + 1) / (1 - lam)
-        for j, other in enumerate(lams):
-            if j != i:
-                piece /= (1 - other)
-        tail += piece
-    return BruteForceTrace(value=total, tail_bound=tail, terms=count)
+    if statistics == "bose":
+        for i, lam in enumerate(lams):
+            if lam == 0:
+                continue
+            piece = lam ** (cut + 1) / (1 - lam)
+            for j, other in enumerate(lams):
+                if j != i:
+                    piece /= (1 - other)
+            tail += piece
+    return BruteForceTrace(value=value, tail_bound=tail, rounding=rounding,
+                           terms=terms)
 
 
 @dataclass(frozen=True)
@@ -179,8 +218,11 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
         t = mpf(t)
         if t <= 0:
             raise ValueError("t must be positive")
-        num = sum(log(1 + exp(-t * lam)) for lam in h.eigenvalues)
-        den = sum(exp(-t * lam) for lam in h.eigenvalues)
+        num = den = 0
+        for lam in h.eigenvalues:
+            u = exp(-t * lam)
+            num += log(1 + u)
+            den += u
         ratio = num / den
         if not lo <= ratio <= hi:
             raise IdentityViolationError(

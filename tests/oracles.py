@@ -15,6 +15,10 @@ every density afresh on each call; the lab's shared spectra must reproduce
 them bit for bit.  ``index_product_fresh`` is the weight-mass formula that
 decomposes the dense flow generators again and traces dense exponentials;
 the lab's sums over the flow's spectra must agree with it to rounding.
+
+``gamma_trace_bruteforce_mpf`` is the Fock occupation-box walk in mpf
+arithmetic; the library's fixed-point walk must agree with it within both
+walks' rounding.
 """
 
 from fractions import Fraction
@@ -105,6 +109,27 @@ def index_product_fresh(triple, rho1, rho3, flow):
         / d1 if k1 is not None else mpf(1)
     mass2 = (1 / e) * lam1 * tr_exp(k2, -1, d2) * tr_exp(k3, -1, d3)
     return mass1, mass2
+
+
+def gamma_trace_bruteforce_mpf(a, statistics, occupancy_cutoff=40):
+    """Sum over the occupation box (cutoff 1 for Fermi) in mpf arithmetic:
+    mpf powers per mode and a depth-first walk carrying the partial product,
+    one multiply per leaf.  Returns the value only; the tail bound is the
+    library's."""
+    cut = occupancy_cutoff if statistics == "bose" else 1
+    lams = a.eigenvalues
+    d = len(lams)
+    powers = [[lam ** n for n in range(cut + 1)] for lam in lams]
+
+    def walk(mode, partial):
+        if mode == d:
+            return partial
+        acc = mpf(0)
+        for p in powers[mode]:
+            acc += walk(mode + 1, partial * p)
+        return acc
+
+    return walk(0, mpf(1))
 
 
 def partitions_of(n, largest=None):

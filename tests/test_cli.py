@@ -295,6 +295,7 @@ def test_cutoff_limit_refused_before_any_work(capsys, monkeypatch):
         raise AssertionError("the series were built past the --cutoff limit")
 
     monkeypatch.setattr(cli.characters, "all_character_series", never)
+    monkeypatch.setattr(cli.characters, "character_coeffs", never)
     for argv in (("characters", "--dump", "--cutoff", str(cli.MAX_CUTOFF + 1)),
                  ("invariants", "--cutoff", str(cli.MAX_CUTOFF + 1))):
         code, out, err = run(capsys, *argv)
@@ -302,6 +303,34 @@ def test_cutoff_limit_refused_before_any_work(capsys, monkeypatch):
         assert str(cli.MAX_CUTOFF) in json.loads(err)["error"]
     cli.RunConfig(command="characters", cutoff=cli.MAX_CUTOFF).validate()
     assert cli.MAX_CUTOFF >= 20000       # perfbench's series dumps
+
+
+def test_dump_equals_all_sector_build(capsys, monkeypatch):
+    """The dump builds one sector's series; its bytes are those of that
+    sector in the all-sector build, for every sector of m = 5 and m = 8."""
+    import cftinv.cli as cli
+    from cftinv import characters, modular_data
+
+    expected = {}
+    for m in (5, 8):
+        model = modular_data.build_minimal_model(m)
+        for sec, series in zip(model.sectors,
+                               characters.all_character_series(model, 300)):
+            expected[m, str(sec.h)] = characters.coeff_dump(series)
+
+    def never(*args):
+        raise AssertionError("the dump built more than one sector")
+
+    monkeypatch.setattr(cli.characters, "all_character_series", never)
+    monkeypatch.setattr(cli.modular_data, "modular_matrices", never)
+    for (m, weight), text in expected.items():
+        code, out, err = run(capsys, "characters", "--m", str(m), "--sector",
+                             weight, "--dump", "--cutoff", "300")
+        assert (code, out, err) == (0, text, "")
+    code, out, err = run(capsys, "characters", "--m", "5", "--sector", "7/3",
+                         "--dump")
+    assert (code, out) == (1, "")
+    assert json.loads(err) == {"error": "'no sector with weight 7/3'", "exit": 1}
 
 
 def test_cli_import_loads_no_numpy():

@@ -1,11 +1,15 @@
+import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from mpmath import mp, mpf, fabs, log, exp, pi
 
 import cftinv as ci
+from cftinv import fock
 from cftinv.errors import IdentityViolationError, KindMismatchError
 from cftinv.fock import RatioRow
+from oracles import gamma_trace_bruteforce_mpf
 
 
 def test_gamma_trace_closed_forms():
@@ -46,6 +50,100 @@ def test_bruteforce_empty_spectrum():
     for stats in ("bose", "fermi"):
         bf = ci.gamma_trace_bruteforce(ci.contraction(), stats)
         assert bf.value == 1 and bf.tail_bound == 0
+
+
+def _exact(x):
+    return Fraction(int(x.man)) * Fraction(2) ** int(x.exp)
+
+
+def _exact_box_sum(a, statistics, cut):
+    """The occupation-box sum in exact rationals of the binary eigenvalues."""
+    cut = cut if statistics == "bose" else 1
+    lams = [_exact(lam) for lam in a.eigenvalues]
+    total = Fraction(0)
+    for occ in itertools.product(range(cut + 1), repeat=len(lams)):
+        term = Fraction(1)
+        for lam, n in zip(lams, occ):
+            term *= lam ** n
+        total += term
+    return total
+
+
+# (eigenvalues, bose cutoff); the zero eigenvalue's powers are [1, 0, 0, ...]
+SMALL_CASES = [(("0.5",), 30), (("0.37", "0.8"), 12), (("0.05", "0.61", "0.33"), 6),
+               ((0, "0.5", "0.3"), 8), (("0.2", "0.7", "0.45", "0.79"), 4)]
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_bruteforce_below_exact_box_sum(dps, statistics):
+    """0 <= exact - value <= rounding against the exact rational box sum."""
+    with mp.workdps(dps):
+        for lams, cut in SMALL_CASES:
+            a = ci.contraction(*lams)
+            bf = ci.gamma_trace_bruteforce(a, statistics, cut)
+            gap = _exact_box_sum(a, statistics, cut) - _exact(bf.value)
+            assert 0 <= gap <= _exact(bf.rounding)
+            assert bf.rounding < mpf(2) ** (10 - mp.prec)
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+@pytest.mark.parametrize("statistics", ["bose", "fermi"])
+def test_bruteforce_matches_mpf_walk(dps, statistics):
+    """The fixed-point walk against the mpf walk run 64 bits finer, whose
+    own rounding is at most (2 leaves + 2d + 1) 2^-prec of its value."""
+    rng = random.Random(dps)
+    cutoffs = {1: 120, 2: 40, 3: 14, 4: 8}
+    with mp.workdps(dps):
+        for d in (1, 2, 3, 4, 4):
+            lams = [mpf(rng.uniform(0.05, 0.8)) for _ in range(d)]
+            if d == 4:
+                lams[rng.randrange(d)] = mpf(0)
+            a = ci.contraction(*lams)
+            bf = ci.gamma_trace_bruteforce(a, statistics, cutoffs[d])
+            with mp.workprec(mp.prec + 64):
+                ref = gamma_trace_bruteforce_mpf(a, statistics, cutoffs[d])
+                ref_err = (2 * bf.terms + 2 * d + 1) * ref * mpf(2) ** -mp.prec
+                gap = ref - bf.value
+            assert -ref_err <= gap <= bf.rounding + ref_err
+
+
+def test_fixed_point_powers_and_walk_are_floored():
+    """Each power is floor(lam^n 2^P); the walk total lies below the exact
+    box sum by less than (2d - 1) units per leaf."""
+    prec = mp.prec + 40
+    assert fock._fixed_powers(mpf(0), 4, prec) == [1 << prec, 0, 0, 0, 0]
+    for lams, cut in SMALL_CASES:
+        a = ci.contraction(*lams)
+        rows = [fock._fixed_powers(lam, cut, prec) for lam in a.eigenvalues]
+        for lam, row in zip(a.eigenvalues, rows):
+            assert row == [_exact(lam) ** n * 2 ** prec // 1
+                           for n in range(cut + 1)]
+        gap = _exact_box_sum(a, "bose", cut) * 2 ** prec - fock._box_sum(rows, prec)
+        assert 0 <= gap < (2 * len(rows) - 1) * (cut + 1) ** len(rows)
+
+
+def test_bruteforce_zero_eigenvalue():
+    with_zero = ci.gamma_trace_bruteforce(ci.contraction(0, "0.5"), "bose", 60)
+    alone = ci.gamma_trace_bruteforce(ci.contraction("0.5"), "bose", 60)
+    assert with_zero.value == alone.value and with_zero.tail_bound == alone.tail_bound
+    assert with_zero.terms == 61 ** 2
+    fermi = ci.gamma_trace_bruteforce(ci.contraction(0, 0), "fermi")
+    assert fermi.value == 1 and fermi.terms == 4
+
+
+def test_bruteforce_leaf_count():
+    a = ci.contraction("0.1", "0.2", "0.3")
+    for cut in (0, 1, 5):
+        assert ci.gamma_trace_bruteforce(a, "bose", cut).terms == (cut + 1) ** 3
+    assert ci.gamma_trace_bruteforce(a, "fermi", 9).terms == 2 ** 3
+
+
+def test_bruteforce_negative_cutoff_refused():
+    a = ci.contraction("0.5", "0.25")
+    for stats in ("bose", "fermi"):
+        with pytest.raises(ValueError, match="occupancy_cutoff"):
+            ci.gamma_trace_bruteforce(a, stats, -1)
 
 
 def test_log_form_identity():
