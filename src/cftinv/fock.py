@@ -25,6 +25,25 @@ up, so the result lies below the exact box sum by less than
 (2d - 1) leaves 2^-P plus the one rounding down of the total to working
 precision; ``BruteForceTrace.rounding`` reports that bound.
 
+The Fermi ratio scan adds x = -t l, u = e^x and the numerator term
+log(1 + u) into two sums in raw libmp arithmetic, with the operations,
+order, precision p and rounding of mpf arithmetic, and skips the terms that
+cannot change a bit.  Write mag(y) = e + bc for a positive y = m 2^e with
+bc-bit mantissa, so 2^(mag-1) <= y < 2^mag and the next p-bit number above
+y is y + 2^(mag-p).  Under round-to-nearest, y + v rounds to y whenever
+0 <= v < 2^(mag-p-1), half that gap.  Let g = min(mag num, mag den, 1),
+K = p + 2 - g and T = ceil(1024 K / 1477), an integer.  If the rounded
+exponent x is <= -T, then e^x <= 2^(-T log2 e) <= 2^-K, because
+1477/1024 < log2 e; mpmath's exp is within a few ulps, far inside the
+factor 2 margin, so the computed u < 2^(1-K) = 2^(g-p-1).  Hence den + u
+rounds to den, 1 + u rounds to 1 so the log term is exactly 0, and num is
+unchanged: the skipped term changes neither sum.  x is compared with the
+integer -T by ``mpf_cmp``, which decides on exponents before it touches
+mantissas, so no input overflows or builds a large integer.  Nothing is
+skipped while a sum is zero (its mag is undefined) or under any other
+rounding mode, and the summation order is kept, as in the stopping rule of
+:func:`cftinv.characters.evaluate`.
+
 All operators here are spectra: every formula in scope is spectral, so the
 diagonal representation loses nothing.
 """
@@ -34,7 +53,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, exp, log, pi
-from mpmath.libmp import from_man_exp, round_ceiling, round_floor
+from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add,
+                          mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg,
+                          round_ceiling, round_floor, round_nearest)
 
 from .errors import IdentityViolationError, KindMismatchError
 
@@ -202,6 +223,16 @@ class RatioRow:
     ratio: object
 
 
+def _skip_cut(num, den, prec: int):
+    """The raw mpf -T of the skip rule for the current sums, or None while
+    either sum is zero: a term whose exponent x = -t l is <= -T changes
+    neither ``num`` nor ``den`` under round-to-nearest (module docstring)."""
+    if not num[1] or not den[1]:
+        return None
+    k = prec + 2 - min(num[2] + num[3], den[2] + den[3], 1)
+    return from_int(-max(1, -(-1024 * k // 1477)))
+
+
 def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
     """log Tr e^{-t Gamma_-(h)} / Tr e^{-t h} over a t grid.
 
@@ -209,20 +240,41 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
     log trace; the pointwise bounds log 2 <= ratio <= 1 follow from
     log(2) u <= log(1 + u) <= u on (0, 1], and any violation beyond ``slack``
     raises :class:`IdentityViolationError`.
+
+    Each term is x = -t l, u = e^x and log(1 + u), added to the sums in the
+    order of ``h.eigenvalues``, in raw libmp arithmetic at the working
+    precision and rounding: the bits of the same sums in mpf arithmetic.
+    Under round-to-nearest a term with x <= -T is skipped, where
+    T = ceil(1024 K / 1477) and K = prec + 2 - min(mag num, mag den, 1):
+    then u < 2^-K (1477/1024 < log2 e) is below half an ulp of num, den
+    and 1, so the term changes no bit (argument in the module docstring).
+    Under any other rounding, or while a sum is zero, every term is added.
     """
     if h.kind != "positive":
         raise KindMismatchError("fermi_ratio_scan needs a positive operator")
+    prec, rnd = mp._prec_rounding
+    nearest = rnd == round_nearest
+    lams = [lam._mpf_ for lam in h.eigenvalues]
     rows = []
     lo, hi = log(mpf(2)) - slack, 1 + slack
     for t in t_grid:
         t = mpf(t)
         if t <= 0:
             raise ValueError("t must be positive")
-        num = den = 0
-        for lam in h.eigenvalues:
-            u = exp(-t * lam)
-            num += log(1 + u)
-            den += u
+        neg_t = mpf_neg(t._mpf_, prec, rnd)
+        num = den = fzero
+        cut = None
+        for lam in lams:
+            x = mpf_mul(neg_t, lam, prec, rnd)
+            if cut and mpf_le(x, cut):
+                continue
+            u = mpf_exp(x, prec, rnd)
+            num = mpf_add(num, mpf_log(mpf_add(u, fone, prec, rnd), prec, rnd),
+                          prec, rnd)
+            den = mpf_add(den, u, prec, rnd)
+            if nearest:
+                cut = _skip_cut(num, den, prec)
+        num, den = mp.make_mpf(num), mp.make_mpf(den)
         ratio = num / den
         if not lo <= ratio <= hi:
             raise IdentityViolationError(

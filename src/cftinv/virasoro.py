@@ -26,13 +26,15 @@ class VirElement:
     """sum over k of terms[k] * L_k, plus central * c.  Zero coefficients are
     never stored, so equality is plain field equality."""
 
-    terms: tuple        # sorted tuple of (index, Fraction) pairs
-    central: Fraction
+    terms: tuple        # sorted tuple of (index, int or Fraction) pairs
+    central: Fraction   # or int
 
     @staticmethod
-    def make(terms: dict, central=Fraction(0)) -> "VirElement":
-        clean = tuple(sorted((k, Fraction(v)) for k, v in terms.items() if v != 0))
-        return VirElement(terms=clean, central=Fraction(central))
+    def make(terms: dict, central=0) -> "VirElement":
+        """Coefficients are kept as given: ints and Fractions, whose sums,
+        products and equality are exact."""
+        clean = tuple(sorted((k, v) for k, v in terms.items() if v != 0))
+        return VirElement(terms=clean, central=central)
 
     def coeff(self, k: int) -> Fraction:
         for i, v in self.terms:
@@ -43,7 +45,7 @@ class VirElement:
     def __add__(self, other):
         acc = dict(self.terms)
         for k, v in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + v
+            acc[k] = acc.get(k, 0) + v
         return VirElement.make(acc, self.central + other.central)
 
     def __sub__(self, other):
@@ -65,7 +67,7 @@ ZERO = VirElement.make({})
 
 
 def L(k: int) -> VirElement:
-    return VirElement.make({k: 1})
+    return VirElement.make({k: Fraction(1)})
 
 
 def central(q=1) -> VirElement:
@@ -76,11 +78,11 @@ def bracket(x: VirElement, y: VirElement) -> VirElement:
     """Bilinear extension of [L_a, L_b] = (a-b) L_{a+b} + (c/12)(a^3-a) d_{a,-b}.
     The central element is central, so cross terms with it vanish."""
     acc: dict = {}
-    cterm = Fraction(0)
+    cterm = 0
     for a, qa in x.terms:
         for b, qb in y.terms:
             w = qa * qb
-            acc[a + b] = acc.get(a + b, Fraction(0)) + w * (a - b)
+            acc[a + b] = acc.get(a + b, 0) + w * (a - b)
             if a + b == 0:
                 cterm += w * Fraction(a ** 3 - a, 12)
     return VirElement.make(acc, cterm)
@@ -94,7 +96,7 @@ def rescale_embed(x: VirElement, n: int) -> VirElement:
     acc: dict = {}
     cterm = Fraction(n) * x.central
     for k, q in x.terms:
-        acc[n * k] = acc.get(n * k, Fraction(0)) + q / n
+        acc[n * k] = acc.get(n * k, 0) + Fraction(q, n)
         if k == 0:
             cterm += q * Fraction(n * n - 1, 24 * n)
     return VirElement.make(acc, cterm)

@@ -18,7 +18,9 @@ the lab's sums over the flow's spectra must agree with it to rounding.
 
 ``gamma_trace_bruteforce_mpf`` is the Fock occupation-box walk in mpf
 arithmetic; the library's fixed-point walk must agree with it within both
-walks' rounding.
+walks' rounding.  ``fermi_ratio_scan_mpf`` adds every term of the Fermi
+ratio in mpf arithmetic; the library's libmp scan, which skips the terms
+that cannot change a bit, must reproduce its sums bit for bit.
 """
 
 from fractions import Fraction
@@ -28,6 +30,7 @@ from mpmath import mp, mpf, exp, log, pi, eighe, matrix
 
 from cftinv.characters import TraceValue, _tail_bound, required_cutoff
 from cftinv.errors import InsufficientCutoffError
+from cftinv.fock import RatioRow
 from cftinv.lab import embed, matmul, trace
 from cftinv.modular_data import mpq
 
@@ -130,6 +133,22 @@ def gamma_trace_bruteforce_mpf(a, statistics, occupancy_cutoff=40):
         return acc
 
     return walk(0, mpf(1))
+
+
+def fermi_ratio_scan_mpf(h, t_grid):
+    """Rows of sum log(1 + e^{-t l}), sum e^{-t l} and their ratio, every
+    term added in mpf arithmetic; no bound check."""
+    rows = []
+    for t in t_grid:
+        t = mpf(t)
+        num = den = 0
+        for lam in h.eigenvalues:
+            u = exp(-t * lam)
+            num += log(1 + u)
+            den += u
+        rows.append(RatioRow(t=t, numerator=num, denominator=den,
+                             ratio=num / den))
+    return rows
 
 
 def partitions_of(n, largest=None):

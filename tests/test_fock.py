@@ -9,7 +9,7 @@ import cftinv as ci
 from cftinv import fock
 from cftinv.errors import IdentityViolationError, KindMismatchError
 from cftinv.fock import RatioRow
-from oracles import gamma_trace_bruteforce_mpf
+from oracles import fermi_ratio_scan_mpf, gamma_trace_bruteforce_mpf
 
 
 def test_gamma_trace_closed_forms():
@@ -223,3 +223,84 @@ def test_ratio_rows_shape():
     assert fabs(rows[0].numerator
                 - (log(1 + exp(mpf(-1))) + log(1 + exp(mpf(-2))))) < mpf("1e-45")
     assert fabs(rows[0].denominator - (exp(mpf(-1)) + exp(mpf(-2)))) < mpf("1e-45")
+
+
+def _bits(rows):
+    return [(r.t._mpf_, r.numerator._mpf_, r.denominator._mpf_, r.ratio._mpf_)
+            for r in rows]
+
+
+def _count_exps(monkeypatch):
+    """Record each exp the library scan takes; a skipped term takes none."""
+    calls = []
+    real = fock.mpf_exp
+
+    def counted(*args):
+        calls.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(fock, "mpf_exp", counted)
+    return calls
+
+
+RATIO_GRID = ["0.05", "0.3", "1"]
+
+
+@pytest.mark.parametrize("dps", [30, 50, 100])
+@pytest.mark.parametrize("order", ["sorted", "reversed", "shuffled"])
+def test_ratio_scan_matches_mpf_oracle(dps, order, monkeypatch):
+    with mp.workdps(dps):
+        lams = sorted(list(range(1, 601)) + [7, 7, 7, 450, 450, 450])
+        if order == "reversed":
+            lams.reverse()
+        elif order == "shuffled":
+            random.Random(dps).shuffle(lams)
+        h = ci.positive(*lams)
+        exps = _count_exps(monkeypatch)
+        rows = ci.fermi_ratio_scan(h, RATIO_GRID)
+        assert _bits(rows) == _bits(fermi_ratio_scan_mpf(h, RATIO_GRID))
+        if order != "reversed":       # reversed, every term outgrows the sums
+            assert len(exps) < len(lams) * len(RATIO_GRID)
+
+
+@pytest.mark.parametrize("dps", [30, 50, 100])
+def test_ratio_scan_bits_at_the_skip_boundaries(dps, monkeypatch):
+    """After the first term (l = 1 at t = 1) num and den lie in [1/4, 1/2),
+    so half an ulp of den is 2^-(prec+2).  Probes put u = e^-l just either
+    side of that, and l just either side of the skip threshold T, in an
+    order where each probe follows a sum it could or could not change."""
+    with mp.workdps(dps):
+        edge = (mp.prec + 2) * log(mpf(2))
+        one = mp.make_mpf(fock.fone)
+        u1 = exp(-one)
+        cut = -mp.make_mpf(fock._skip_cut(log(1 + u1)._mpf_, u1._mpf_, mp.prec))
+        eps = mpf(2) ** (10 - mp.prec)
+        probes = [centre + d for centre in (edge, cut)
+                  for d in (-1, -eps, 0, eps, 1)]
+        lams = [1] + probes + probes[::-1] + [mpf(2) ** 2000, mpf(2) ** -1000]
+        h = ci.positive(*lams)
+        exps = _count_exps(monkeypatch)
+        rows = ci.fermi_ratio_scan(h, ["1"])
+        assert _bits(rows) == _bits(fermi_ratio_scan_mpf(h, ["1"]))
+        # skipped: cut, cut + eps and cut + 1 twice each, and 2^2000
+        assert len(exps) == len(lams) - 7
+        # u just above half an ulp of den changes den, just below does not
+        above = ci.positive(1, edge - eps)
+        below = ci.positive(1, edge + eps)
+        assert ci.fermi_ratio_scan(above, ["1"])[0].denominator != u1
+        assert ci.fermi_ratio_scan(below, ["1"])[0].denominator == u1
+
+
+@pytest.mark.parametrize("rounding", ["f", "c"])
+def test_ratio_scan_skips_nothing_off_nearest(rounding, monkeypatch):
+    h = ci.positive(*range(1, 301))
+    exps = _count_exps(monkeypatch)
+    saved = mp._prec_rounding[1]
+    mp._prec_rounding[1] = rounding
+    try:
+        rows = ci.fermi_ratio_scan(h, ["0.3", "1"])
+        oracle = fermi_ratio_scan_mpf(h, ["0.3", "1"])
+    finally:
+        mp._prec_rounding[1] = saved
+    assert _bits(rows) == _bits(oracle)
+    assert len(exps) == 2 * 300
