@@ -26,23 +26,30 @@ up, so the result lies below the exact box sum by less than
 precision; ``BruteForceTrace.rounding`` reports that bound.
 
 The Fermi ratio scan adds x = -t l, u = e^x and the numerator term
-log(1 + u) into two sums in raw libmp arithmetic, with the operations,
-order, precision p and rounding of mpf arithmetic, and skips the terms that
-cannot change a bit.  Write mag(y) = e + bc for a positive y = m 2^e with
-bc-bit mantissa, so 2^(mag-1) <= y < 2^mag and the next p-bit number above
-y is y + 2^(mag-p).  Under round-to-nearest, y + v rounds to y whenever
-0 <= v < 2^(mag-p-1), half that gap.  Let g = min(mag num, mag den, 1),
+log(1 + u) into two sums in raw libmp arithmetic at the working precision
+p and rounding, in the order of the spectrum.  The term is computed as
+mpmath's ``log1p`` does: u itself when mag(u) < -p, where log(1 + u) and u
+agree to half an ulp, and otherwise the log of 1 + u formed at 2p bits,
+which ``mpf_log`` evaluates without cancellation near 1.  (Rounding 1 + u
+to p bits first would keep only the leading p + mag(u) bits of u, and
+none at all once u < 2^-p.)  The scan skips the terms that cannot change a
+bit.  Write mag(y) = e + bc for a positive y = m 2^e with bc-bit mantissa,
+so 2^(mag-1) <= y < 2^mag and the next p-bit number above y is
+y + 2^(mag-p).  Under round-to-nearest, y + v rounds to y whenever
+0 <= v < 2^(mag-p-1), half that gap.  Let g = min(mag num, mag den),
 K = p + 2 - g and T = ceil(1024 K / 1477), an integer.  If the rounded
 exponent x is <= -T, then e^x <= 2^(-T log2 e) <= 2^-K, because
 1477/1024 < log2 e; mpmath's exp is within a few ulps, far inside the
-factor 2 margin, so the computed u < 2^(1-K) = 2^(g-p-1).  Hence den + u
-rounds to den, 1 + u rounds to 1 so the log term is exactly 0, and num is
-unchanged: the skipped term changes neither sum.  x is compared with the
-integer -T by ``mpf_cmp``, which decides on exponents before it touches
-mantissas, so no input overflows or builds a large integer.  Nothing is
-skipped while a sum is zero (its mag is undefined) or under any other
-rounding mode, and the summation order is kept, as in the stopping rule of
-:func:`cftinv.characters.evaluate`.
+factor 2 margin, so the computed u < 2^(1-K) = 2^(g-p-1).  The numerator
+term is u, or, when mag(u) >= -p, the log of a 2p-bit 1 + v with
+v <= u + 2^-2p <= u (1 + 2^(1-p)), and log(1 + v) <= v is computed within a
+few ulps; either way it stays inside the same margin.  Hence den + u rounds
+to den and num + term to num: the skipped term changes neither sum.  x is
+compared with the integer -T by ``mpf_cmp``, which decides on exponents
+before it touches mantissas, so no input overflows or builds a large
+integer.  Nothing is skipped while a sum is zero (its mag is undefined) or
+under any other rounding mode, and the summation order is kept, as in the
+stopping rule of :func:`cftinv.characters.evaluate`.
 
 All operators here are spectra: every formula in scope is spectral, so the
 diagonal representation loses nothing.
@@ -229,7 +236,7 @@ def _skip_cut(num, den, prec: int):
     neither ``num`` nor ``den`` under round-to-nearest (module docstring)."""
     if not num[1] or not den[1]:
         return None
-    k = prec + 2 - min(num[2] + num[3], den[2] + den[3], 1)
+    k = prec + 2 - min(num[2] + num[3], den[2] + den[3])
     return from_int(-max(1, -(-1024 * k // 1477)))
 
 
@@ -241,14 +248,16 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
     log(2) u <= log(1 + u) <= u on (0, 1], and any violation beyond ``slack``
     raises :class:`IdentityViolationError`.
 
-    Each term is x = -t l, u = e^x and log(1 + u), added to the sums in the
-    order of ``h.eigenvalues``, in raw libmp arithmetic at the working
-    precision and rounding: the bits of the same sums in mpf arithmetic.
-    Under round-to-nearest a term with x <= -T is skipped, where
-    T = ceil(1024 K / 1477) and K = prec + 2 - min(mag num, mag den, 1):
-    then u < 2^-K (1477/1024 < log2 e) is below half an ulp of num, den
-    and 1, so the term changes no bit (argument in the module docstring).
-    Under any other rounding, or while a sum is zero, every term is added.
+    Each term is x = -t l, u = e^x and the numerator term log(1 + u), taken
+    as u when mag(u) < -prec and else as the log of 1 + u formed at
+    2 prec bits, so it keeps its relative accuracy at any t.  Terms are
+    added in the order of ``h.eigenvalues`` in raw libmp arithmetic at the
+    working precision and rounding.  Under round-to-nearest a term with
+    x <= -T is skipped, where T = ceil(1024 K / 1477) and
+    K = prec + 2 - min(mag num, mag den): then u < 2^-K (1477/1024 < log2 e)
+    and the numerator term are below half an ulp of num and den, so the
+    term changes no bit (argument in the module docstring).  Under any other
+    rounding, or while a sum is zero, every term is added.
     """
     if h.kind != "positive":
         raise KindMismatchError("fermi_ratio_scan needs a positive operator")
@@ -269,8 +278,11 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
             if cut and mpf_le(x, cut):
                 continue
             u = mpf_exp(x, prec, rnd)
-            num = mpf_add(num, mpf_log(mpf_add(u, fone, prec, rnd), prec, rnd),
-                          prec, rnd)
+            if u[2] + u[3] < -prec:
+                term = u
+            else:
+                term = mpf_log(mpf_add(u, fone, 2 * prec, rnd), prec, rnd)
+            num = mpf_add(num, term, prec, rnd)
             den = mpf_add(den, u, prec, rnd)
             if nearest:
                 cut = _skip_cut(num, den, prec)

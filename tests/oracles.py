@@ -137,14 +137,15 @@ def gamma_trace_bruteforce_mpf(a, statistics, occupancy_cutoff=40):
 
 def fermi_ratio_scan_mpf(h, t_grid):
     """Rows of sum log(1 + e^{-t l}), sum e^{-t l} and their ratio, every
-    term added in mpf arithmetic; no bound check."""
+    term added in mpf arithmetic; no bound check.  log(1 + u) is u when
+    mag(u) < -prec and else the log of 1 + u formed at 2 prec bits."""
     rows = []
     for t in t_grid:
         t = mpf(t)
         num = den = 0
         for lam in h.eigenvalues:
             u = exp(-t * lam)
-            num += log(1 + u)
+            num += u if mp.mag(u) < -mp.prec else log(mp.fadd(1, u, prec=2 * mp.prec))
             den += u
         rows.append(RatioRow(t=t, numerator=num, denominator=den,
                              ratio=num / den))

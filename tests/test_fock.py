@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from mpmath import mp, mpf, fabs, log, exp, pi
 
 import cftinv as ci
 from cftinv import fock
+from cftinv.cli import main
 from cftinv.errors import IdentityViolationError, KindMismatchError
 from cftinv.fock import RatioRow
 from oracles import fermi_ratio_scan_mpf, gamma_trace_bruteforce_mpf
@@ -304,3 +306,26 @@ def test_ratio_scan_skips_nothing_off_nearest(rounding, monkeypatch):
         mp._prec_rounding[1] = saved
     assert _bits(rows) == _bits(oracle)
     assert len(exps) == 2 * 300
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+@pytest.mark.parametrize("size", [1, 5000])
+def test_ratio_scan_large_t(dps, size):
+    """Once e^{-t l} nears 2^-prec, log(1 + u) must keep its relative
+    accuracy: at t = 120 and 50 digits, 1 + u rounded to working precision
+    is 1 and the ratio used to read 0."""
+    grid = ["100", "120", "300"]
+    with mp.workdps(dps):
+        h = ci.positive(*range(1, size + 1))
+        rows = ci.fermi_ratio_scan(h, grid)
+        assert _bits(rows) == _bits(fermi_ratio_scan_mpf(h, grid))
+        for r in rows:
+            assert fabs(r.ratio - 1) < mpf("1e-9")
+
+
+def test_fock_command_large_t(capsys):
+    assert main(["fock", "--grid", "100:200:2", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [r["t"] for r in rows] == ["100.0", "200.0"]
+    for r in rows:
+        assert log(mpf(2)) <= mpf(r["ratio"]) <= 1
