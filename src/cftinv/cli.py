@@ -42,7 +42,7 @@ MAX_CUTOFF = 40000
 
 #: Largest grid count; parse_grid refuses more before building any point.
 #: Cost is linear in the count: 1000 points take 28 s for
-#: ``characters --m 8`` and 127 s for ``fock``.
+#: ``characters --m 8`` and 23 s for ``fock --grid 0.01:1:1000``.
 MAX_GRID_POINTS = 1000
 
 

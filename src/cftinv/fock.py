@@ -59,7 +59,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from mpmath import mp, mpf, exp, log, pi
+from mpmath import mp, mpf, log, pi
 from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add,
                           mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg,
                           round_ceiling, round_floor, round_nearest)

@@ -67,7 +67,7 @@ ZERO = VirElement.make({})
 
 
 def L(k: int) -> VirElement:
-    return VirElement.make({k: Fraction(1)})
+    return VirElement.make({k: 1})
 
 
 def central(q=1) -> VirElement:
