@@ -238,7 +238,7 @@ def _count_exps(monkeypatch):
     real = fock.mpf_exp
 
     def counted(*args):
-        calls.append(args[0])
+        calls.append(1)
         return real(*args)
 
     monkeypatch.setattr(fock, "mpf_exp", counted)
@@ -273,8 +273,7 @@ def test_ratio_scan_bits_at_the_skip_boundaries(dps, monkeypatch):
     order where each probe follows a sum it could or could not change."""
     with mp.workdps(dps):
         edge = (mp.prec + 2) * log(mpf(2))
-        one = mp.make_mpf(fock.fone)
-        u1 = exp(-one)
+        u1 = exp(mpf(-1))
         cut = -mp.make_mpf(fock._skip_cut(log(1 + u1)._mpf_, u1._mpf_, mp.prec))
         eps = mpf(2) ** (10 - mp.prec)
         probes = [centre + d for centre in (edge, cut)
