@@ -145,7 +145,10 @@ def fermi_ratio_scan_mpf(h, t_grid):
         num = den = 0
         for lam in h.eigenvalues:
             u = exp(-t * lam)
-            num += u if mp.mag(u) < -mp.prec else log(mp.fadd(1, u, prec=2 * mp.prec))
+            if mp.mag(u) < -mp.prec:
+                num += u
+            else:
+                num += log(mp.fadd(1, u, prec=2 * mp.prec))
             den += u
         rows.append(RatioRow(t=t, numerator=num, denominator=den,
                              ratio=num / den))
