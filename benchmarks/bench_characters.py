@@ -7,10 +7,16 @@ so the test suite never collects it:
         --benchmark-json=after.json
 
 ``benchmarks/compact.py`` folds two such files (before, after) into a
-committed ``BENCH_<n>.json``.  All cases run at 50 digits on the m = 4
-model with the CLI's default cutoff 2000.  Repeated ``evaluate`` calls at
-one t reuse its cached term count, as the sectors of one S-transform
-evaluation do.
+committed ``BENCH_<n>.json``.  All cases run at 50 digits.  The evaluation
+cases use the m = 4 model with the CLI's default cutoff 2000; repeated
+``evaluate`` calls at one t reuse its cached term count, as the sectors of
+one S-transform evaluation do.
+
+The build cases time the exact coefficient tables: ``partition_numbers``
+at the default cutoff and at the dump's 20000, one sector's
+``character_coeffs`` at cutoff 20000 as ``characters --dump`` builds it
+(partition numbers included), and ``all_character_series`` for m = 3..8 at
+the default cutoff, as every evaluating command builds it.
 """
 
 import pytest
@@ -18,7 +24,7 @@ from mpmath import mp
 
 import cftinv as ci
 
-M, CUTOFF = 4, 2000
+M, CUTOFF, DUMP_CUTOFF = 4, 2000, 20000
 
 
 @pytest.fixture(autouse=True)
@@ -47,8 +53,25 @@ def test_evaluate_small_t(benchmark, m4):
     assert tv.value > 0
 
 
-def test_all_character_series(benchmark):
-    model = ci.build_minimal_model(M)
+@pytest.mark.parametrize("n", [CUTOFF, DUMP_CUTOFF])
+def test_partition_numbers(benchmark, n):
+    p = benchmark.pedantic(ci.partition_numbers, (n,), rounds=5, iterations=1)
+    assert len(p) == n + 1
+
+
+@pytest.mark.parametrize("m", [5, 8])
+def test_character_coeffs_dump(benchmark, m):
+    model = ci.build_minimal_model(m)
+    sector = model.sectors[-1]
+    series = benchmark.pedantic(ci.character_coeffs,
+                                (model, sector, DUMP_CUTOFF),
+                                rounds=5, iterations=1)
+    assert series.cutoff == DUMP_CUTOFF
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_all_character_series(benchmark, m):
+    model = ci.build_minimal_model(m)
     series = benchmark.pedantic(ci.all_character_series, (model, CUTOFF),
                                 rounds=5, iterations=1)
     assert len(series) == len(model.sectors)

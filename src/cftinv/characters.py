@@ -11,6 +11,18 @@ an alternating sum of quadratic-exponent terms against the Euler product
 phi(q) = prod (1-q^n).  Coefficients are exact big integers; a brute-force
 Verma oracle in the test suite anchors them at low level.
 
+The build keeps its inner loops out of Python bytecode.  Euler's recurrence
+p(k) = sum_g (+-) p(k - g) over the generalised pentagonal numbers g runs in
+blocks [K, K + B) with B = isqrt(n) + 1.  An offset g with B <= g <= K reads
+p(k - g) with 0 <= k - g < K for every k of the block, values that are
+already final, so the contribution of all such offsets to the whole block is
+one column sum over the slices p[K - g : K - g + B], the minus-sign slices
+summed apart and subtracted.  Only the offsets below B, and the few in
+(K, K + B), which apply only from k = g on, stay in the per-k loop.
+A character's a_k = sum_+ p(k - e) - sum_- p(k - e) over the theta
+exponents e is likewise one column sum over the lazily shifted views
+0^e p(0..cutoff-e), so no term builds a list of its own.
+
 Evaluation of Tr e^{-2 pi t (L0 - c/24)} truncates the series at the stored
 cutoff and reports a certified tail bound alongside the value, using
 p(k) <= exp(pi sqrt(2k/3)).  The sum itself stops earlier, after the first
@@ -33,6 +45,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import chain, islice, repeat
+from math import isqrt
+from operator import sub
 
 from mpmath import mp, mpf, exp, pi, sqrt
 
@@ -40,24 +55,54 @@ from .errors import InsufficientCutoffError
 from .modular_data import MinimalModel, ModularData, Sector, mpq
 
 
+def _column_sums(rows, width: int):
+    """Iterator over the ``width`` column sums of the equal-length iterables
+    ``rows``, zeros when there are none; the sums run in C."""
+    return map(sum, zip(repeat(0, width), *rows))
+
+
+def _pentagonal_offsets(n: int) -> list:
+    """(g, sign) for the generalised pentagonal numbers 1 <= g <= n in
+    increasing order, with sign (-1)^(j+1) for g = j(3j -+ 1)/2."""
+    offsets = []
+    j = 1
+    while j * (3 * j - 1) // 2 <= n:
+        sign = 1 if j % 2 else -1
+        offsets.append((j * (3 * j - 1) // 2, sign))
+        if j * (3 * j + 1) // 2 <= n:
+            offsets.append((j * (3 * j + 1) // 2, sign))
+        j += 1
+    return offsets
+
+
 def partition_numbers(n: int) -> list:
-    """p(0..n) by Euler's pentagonal-number recurrence, exact integers."""
-    p = [0] * (n + 1)
-    p[0] = 1
-    for k in range(1, n + 1):
-        total = 0
-        j = 1
-        while True:
-            g1 = j * (3 * j - 1) // 2
-            if g1 > k:
-                break
-            sgn = -1 if j % 2 == 0 else 1
-            total += sgn * p[k - g1]
-            g2 = j * (3 * j + 1) // 2
-            if g2 <= k:
-                total += sgn * p[k - g2]
-            j += 1
-        p[k] = total
+    """p(0..n) by Euler's pentagonal-number recurrence, exact integers.
+
+    The recurrence runs in blocks of ``isqrt(n) + 1`` indices; see the module
+    docstring for why the far offsets of a block are one column sum.
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    offsets = _pentagonal_offsets(n)
+    width = isqrt(n) + 1
+    p = [1]
+    for lo in range(1, n + 1, width):
+        hi = min(lo + width, n + 1)
+        far = [(g, sgn) for g, sgn in offsets if width <= g <= lo]
+        near = [(g, sgn) for g, sgn in offsets
+                if g < width or lo < g < hi]
+        plus = [p[lo - g:hi - g] for g, sgn in far if sgn > 0]
+        minus = [p[lo - g:hi - g] for g, sgn in far if sgn < 0]
+        for k, total in zip(range(lo, hi), map(
+                sub, _column_sums(plus, hi - lo), _column_sums(minus, hi - lo))):
+            for g, sgn in near:
+                if g > k:
+                    break
+                if sgn > 0:
+                    total += p[k - g]
+                else:
+                    total -= p[k - g]
+            p.append(total)
     return p
 
 
@@ -101,14 +146,14 @@ def character_coeffs(model: MinimalModel, sector: Sector, cutoff: int,
     if cutoff < 0:
         raise ValueError("cutoff must be >= 0")
     p = partitions if partitions is not None else partition_numbers(cutoff)
-    a = [0] * (cutoff + 1)
+    if len(p) <= cutoff:
+        raise ValueError("partitions must hold p(0..cutoff)")
+    plus, minus = [], []
     for e, sgn in _theta_terms(model.m, sector.r, sector.s, cutoff):
-        if sgn > 0:
-            for n in range(e, cutoff + 1):
-                a[n] += p[n - e]
-        else:
-            for n in range(e, cutoff + 1):
-                a[n] -= p[n - e]
+        shifted = chain(repeat(0, e), islice(p, cutoff + 1 - e))
+        (plus if sgn > 0 else minus).append(shifted)
+    a = list(map(sub, _column_sums(plus, cutoff + 1),
+                 _column_sums(minus, cutoff + 1)))
     assert a[0] == 1, "lowest-weight space must be one dimensional"
     return CharacterSeries(sector=sector, c=model.c, coeffs=tuple(a))
 

@@ -36,8 +36,9 @@ FIT_TOLERANCES = {"a0": mpf("1e-6"), "a1": mpf("1e-4"), "a2": mpf("1e-2")}
 
 #: Largest --cutoff.  The series build grows like cutoff^1.5 per sector:
 #: ``characters --m 8 --cutoff 40000 --grid 1:1:1`` builds all 28 sectors in
-#: 13.8 s and 137 MB on a Xeon VM core; ``--dump`` builds only the sector it
-#: prints, 2.9 s and 41 MB at 40000, 1.4 s and 29 MB at 20000.
+#: 7.4 s and 136 MB on a Xeon VM core; ``--dump`` builds only the sector it
+#: prints, 1.1 s and 41 MB at 40000, 0.46 s and 30 MB at 20000 (fresh
+#: process, import included, median of 3).
 MAX_CUTOFF = 40000
 
 #: Largest grid count; parse_grid refuses more before building any point.

@@ -66,6 +66,11 @@ class KindMismatchError(ToolkitError, ValueError):
     """A one-particle operator of the wrong kind was passed."""
 
 
+class EmptySpectrumError(ToolkitError, ValueError):
+    """A ratio of spectral sums was asked of an operator with no
+    eigenvalues, where both sums are empty."""
+
+
 class IdentityViolationError(ToolkitError):
     """A verified operator identity failed beyond tolerance."""
 

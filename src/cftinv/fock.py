@@ -64,7 +64,8 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add,
                           mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg,
                           round_ceiling, round_floor, round_nearest)
 
-from .errors import IdentityViolationError, KindMismatchError
+from .errors import (EmptySpectrumError, IdentityViolationError,
+                     KindMismatchError)
 
 
 @dataclass(frozen=True)
@@ -246,7 +247,8 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
     The numerator is sum_i log(1 + e^{-t l_i}), the Fermi second-quantized
     log trace; the pointwise bounds log 2 <= ratio <= 1 follow from
     log(2) u <= log(1 + u) <= u on (0, 1], and any violation beyond ``slack``
-    raises :class:`IdentityViolationError`.
+    raises :class:`IdentityViolationError`.  An empty spectrum raises
+    :class:`EmptySpectrumError` before any grid point is read.
 
     Each term is x = -t l, u = e^x and the numerator term log(1 + u), taken
     as u when mag(u) < -prec and else as the log of 1 + u formed at
@@ -261,6 +263,10 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
     """
     if h.kind != "positive":
         raise KindMismatchError("fermi_ratio_scan needs a positive operator")
+    if not h.eigenvalues:
+        raise EmptySpectrumError(
+            "fermi_ratio_scan needs at least one eigenvalue: the ratio of two "
+            "sums over an empty spectrum is 0/0")
     prec, rnd = mp._prec_rounding
     nearest = rnd == round_nearest
     lams = [lam._mpf_ for lam in h.eigenvalues]

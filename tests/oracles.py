@@ -21,6 +21,10 @@ arithmetic; the library's fixed-point walk must agree with it within both
 walks' rounding.  ``fermi_ratio_scan_mpf`` adds every term of the Fermi
 ratio in mpf arithmetic; the library's libmp scan, which skips the terms
 that cannot change a bit, must reproduce its sums bit for bit.
+
+``partition_numbers_loop`` and ``character_coeffs_loop`` are the per-index
+loops of the exact coefficient build; the library's column-sum build must
+reproduce their integers exactly.
 """
 
 from fractions import Fraction
@@ -28,11 +32,51 @@ from functools import lru_cache
 
 from mpmath import mp, mpf, exp, log, pi, eighe, matrix
 
-from cftinv.characters import TraceValue, _tail_bound, required_cutoff
+from cftinv.characters import (CharacterSeries, TraceValue, _tail_bound,
+                               _theta_terms, required_cutoff)
 from cftinv.errors import InsufficientCutoffError
 from cftinv.fock import RatioRow
 from cftinv.lab import embed, matmul, trace
 from cftinv.modular_data import mpq
+
+
+def partition_numbers_loop(n: int) -> list:
+    """p(0..n) by Euler's pentagonal-number recurrence, exact integers."""
+    p = [0] * (n + 1)
+    p[0] = 1
+    for k in range(1, n + 1):
+        total = 0
+        j = 1
+        while True:
+            g1 = j * (3 * j - 1) // 2
+            if g1 > k:
+                break
+            sgn = -1 if j % 2 == 0 else 1
+            total += sgn * p[k - g1]
+            g2 = j * (3 * j + 1) // 2
+            if g2 <= k:
+                total += sgn * p[k - g2]
+            j += 1
+        p[k] = total
+    return p
+
+
+def character_coeffs_loop(model, sector, cutoff: int,
+                          partitions=None) -> CharacterSeries:
+    """Exact coefficients a_0..a_cutoff of one sector character."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    p = partitions if partitions is not None else partition_numbers_loop(cutoff)
+    a = [0] * (cutoff + 1)
+    for e, sgn in _theta_terms(model.m, sector.r, sector.s, cutoff):
+        if sgn > 0:
+            for n in range(e, cutoff + 1):
+                a[n] += p[n - e]
+        else:
+            for n in range(e, cutoff + 1):
+                a[n] -= p[n - e]
+    assert a[0] == 1, "lowest-weight space must be one dimensional"
+    return CharacterSeries(sector=sector, c=model.c, coeffs=tuple(a))
 
 
 def evaluate_full_sum(series, t, shifted=True, tol=None):

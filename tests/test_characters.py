@@ -7,12 +7,51 @@ import cftinv as ci
 from cftinv import characters
 from cftinv.errors import InsufficientCutoffError
 from cftinv.modular_data import mpq
-from oracles import evaluate_full_sum, irreducible_graded_dims
+from oracles import (character_coeffs_loop, evaluate_full_sum,
+                     irreducible_graded_dims, partition_numbers_loop)
 
 
 def test_partition_numbers():
     p = ci.partition_numbers(10)
     assert p == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+
+
+def test_partition_numbers_match_loop():
+    """The blocked column-sum recurrence gives the loop's integers for every
+    n up to 600 (blocks with no far offset, partly full last blocks) and at
+    n = 5000."""
+    want = partition_numbers_loop(600)
+    for n in range(601):
+        assert ci.partition_numbers(n) == want[:n + 1], n
+    assert ci.partition_numbers(5000) == partition_numbers_loop(5000)
+
+
+def test_partition_numbers_negative_n():
+    with pytest.raises(ValueError, match="n must be >= 0"):
+        ci.partition_numbers(-1)
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_character_coeffs_match_loop(m):
+    model = ci.build_minimal_model(m)
+    p = partition_numbers_loop(2000)
+    for sec in model.sectors:
+        for cutoff in (0, 1, 2, 5, 7, 100, 2000):
+            got = ci.character_coeffs(model, sec, cutoff)
+            assert got == character_coeffs_loop(model, sec, cutoff, p), \
+                (m, sec.r, sec.s, cutoff)
+
+
+def test_character_coeffs_partitions_argument(model4):
+    """A partitions= list longer than cutoff + 1 gives the same series; one
+    too short is refused."""
+    p = ci.partition_numbers(300)
+    for sec in model4.sectors:
+        want = character_coeffs_loop(model4, sec, 120)
+        assert ci.character_coeffs(model4, sec, 120, p) == want
+        assert ci.character_coeffs(model4, sec, 120) == want
+    with pytest.raises(ValueError, match="p\\(0..cutoff\\)"):
+        ci.character_coeffs(model4, model4.sectors[0], 120, p[:120])
 
 
 def test_ising_vacuum_low_levels(model3):

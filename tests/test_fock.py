@@ -9,7 +9,8 @@ from mpmath import mp, mpf, fabs, log, exp, pi
 import cftinv as ci
 from cftinv import fock
 from cftinv.cli import main
-from cftinv.errors import IdentityViolationError, KindMismatchError
+from cftinv.errors import (EmptySpectrumError, IdentityViolationError,
+                           KindMismatchError, ToolkitError)
 from cftinv.fock import RatioRow
 from oracles import fermi_ratio_scan_mpf, gamma_trace_bruteforce_mpf
 
@@ -216,6 +217,21 @@ def test_ratio_violation_detection():
     h = ci.positive(1, 2, 3)
     with pytest.raises(IdentityViolationError):
         ci.fermi_ratio_scan(h, ["40"], slack=mpf("-1e-3"))
+
+
+def test_ratio_scan_refuses_empty_spectrum():
+    def grid():
+        raise AssertionError("grid read before the empty spectrum was refused")
+        yield
+
+    with pytest.raises(EmptySpectrumError, match="eigenvalue") as info:
+        ci.fermi_ratio_scan(ci.positive(), grid())
+    assert isinstance(info.value, ToolkitError)
+    # an empty contraction stays valid: every Fock trace over it is 1
+    empty = ci.contraction()
+    for statistics in ("bose", "fermi"):
+        assert ci.gamma_trace(empty, statistics) == 1
+        assert ci.gamma_trace_bruteforce(empty, statistics).value == 1
 
 
 def test_ratio_rows_shape():
