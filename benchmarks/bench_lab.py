@@ -89,3 +89,24 @@ def test_matmul_36_complex(benchmark):
     a, b = lab.random_density(36, rng), lab.random_density(36, rng)
     out = benchmark.pedantic(matmul, (a, b), rounds=10, iterations=1)
     assert out.rows == out.cols == 36
+
+
+@pytest.mark.parametrize("n", [12, 24, 36])
+def test_eighe(benchmark, n):
+    """One eigendecomposition of an n x n density; 36 is the full space at
+    dims 3,4,3.  ``lab.eighe`` is whichever routine the lab decomposes with."""
+    a = lab.random_density(n, random.Random(n))
+    rounds = {12: 10, 24: 5, 36: 3}[n]
+    e, q = benchmark.pedantic(lab.eighe, (a,), rounds=rounds, iterations=1)
+    assert e.rows == q.cols == n
+
+
+def test_power_it(benchmark):
+    """(d phi/d psi)^{it} at dims 3,4,3: two per-leg powers and their
+    product on the full space."""
+    rng = random.Random(3)
+    der = ci.spatial_derivative(lab.random_density(12, rng),
+                                lab.random_density(3, rng), (3, 4, 3), (0, 1))
+    u = benchmark.pedantic(der.power_it, (mpf("0.37"),), rounds=10,
+                           iterations=1)
+    assert u.rows == u.cols == 36

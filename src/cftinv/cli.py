@@ -10,7 +10,8 @@ Precedence for settings is flags > config file > defaults; the config file
 is flat ``key = value`` text with the same keys as the long options
 (m, sector, grid, precision, cutoff, seed, output, format, dims); any other
 key is refused as a usage error.  The environment variable
-CFTINV_DPS overrides the default precision.
+CFTINV_DPS overrides the default precision; both it and --precision are
+capped at MAX_PRECISION digits.
 """
 
 from __future__ import annotations
@@ -46,6 +47,14 @@ MAX_CUTOFF = 40000
 #: ``characters --m 8`` and 23 s for ``fock --grid 0.01:1:1000``.
 MAX_GRID_POINTS = 1000
 
+#: Largest --precision (and CFTINV_DPS), in digits.  Every libmp product and
+#: the eigensolver's iteration limit grow with it: at 500 digits
+#: ``lab --dims 4,4,4`` (the --dims limit) takes 54 s, ``lab --dims 3,4,3``
+#: 11 s and ``verify --all`` and ``fock`` under 8 s; at 1000 digits the two
+#: lab commands take 178 s and 39 s (fresh process, one run each, Xeon VM
+#: core).
+MAX_PRECISION = 500
+
 
 @dataclass
 class RunConfig:
@@ -65,6 +74,9 @@ class RunConfig:
             raise ConfigError("m must be >= 3")
         if self.precision < 30:
             raise ConfigError("precision must be >= 30 digits")
+        if self.precision > MAX_PRECISION:
+            raise ConfigError(f"precision {self.precision} exceeds the limit "
+                              f"{MAX_PRECISION} digits")
         if self.cutoff < 10:
             raise ConfigError("cutoff must be >= 10")
         if self.cutoff > MAX_CUTOFF:
@@ -545,7 +557,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--m", type=int, help="minimal model label (>= 3)")
         p.add_argument("--sector", help="vacuum | index | weight like 1/16")
         p.add_argument("--grid", help="t grid lo:hi:count[:linear|log]")
-        p.add_argument("--precision", type=int, help="working digits (>= 30)")
+        p.add_argument("--precision", type=int,
+                       help=f"working digits (30..{MAX_PRECISION})")
         p.add_argument("--cutoff", type=int, help="series cutoff (>= 10)")
         p.add_argument("--seed", type=int, help="seed for randomized batteries")
         p.add_argument("--output", "-o", help="write the JSON report here")

@@ -35,22 +35,19 @@ of exp(+-lambda) over those eigenvalues.  The oracle
 :func:`relative_entropy_oracle` and the flow hypothesis check decompose on
 their own, so they share no state with what they check.
 
-Exact matrix products: every matrix-matrix and matrix-vector product here
-goes through :func:`matmul`, which returns the bits of mpmath's ``a * b``
-at a fraction of its cost.  mpmath's ``fdot`` forms each product of two
-entries exactly and rounds their sum once: ``mpf_sum`` adds exactly unless
-two raw exponents differ by more than 2 prec, then ends in
-``from_man_exp(man, exp, prec, rnd)``.  So ``matmul`` converts each row of
-``a`` and each column of ``b`` once to signed Python ints over a common
-exponent, forms the real and imaginary parts of an entry as exact int dot
-products and rounds each once with ``from_man_exp`` at the context's
-precision and rounding.  Mantissas are odd, so a product's raw exponent is
-the sum of its factors'; an entry whose nonzero products' exponents span
-more than 2 prec bits is handed to ``fdot`` itself, as is every entry of a
-row or column holding an inf, a nan, a value that is not an mpf or mpc, or
-exponents spread over more than 8 prec bits.  An entry is an mpc exactly
-when row i of ``a`` or column j of ``b`` holds an mpc, which is ``fdot``'s
-rule, and zeros are not stored, as in ``matrix.__setitem__``.
+Linear algebra with mpmath's bits: ``eighe``, :func:`matmul` and the
+single-term kernels come from :mod:`cftinv.linalg`, whose docstring gives
+the arguments.  ``eighe`` is mpmath's Householder/QL routine ported onto
+raw libmp tuples: the same libmp call for each operator, in the same order,
+at the same precision and rounding, so E and Q have mpmath's bits and
+types.  ``matmul`` returns the bits of mpmath's ``a * b``.  Two products
+here have at most one nonzero term per entry, and form it alone, exactly,
+rounded once by ``from_man_exp`` as ``matmul`` rounds its exact sum:
+:func:`leg_product` multiplies operators embedded on complementary legs,
+whose entry (i, j) is a[i_R, j_R] b[i_C, j_C], and ``Spectrum.fun`` scales
+the columns of Q by f(lambda) before its one dense product.  Their entries
+follow ``matmul``'s rules: ``fdot`` where it would fall back to it, an mpc
+iff the row or the column holds one, and zeros not stored.
 """
 
 from __future__ import annotations
@@ -58,14 +55,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, replace
-from operator import mul
 
-from mpmath import mp, mpf, mpc, matrix, eighe, exp, log, sqrt, pi
-from mpmath.libmp import from_man_exp, fzero
+from mpmath import mp, mpf, mpc, matrix, exp, log, sqrt, pi
 
 from .errors import (CocycleError, HypothesisViolationError,
                      IdentityViolationError, NotSeparatingError,
                      RankDeficiencyError)
+from .linalg import eighe, matmul, scale_columns, single_term_product
 
 CONDITION_GUARD = mpf("1e12")
 # Largest d1*d2*d3 the command line accepts: the dense operators on the full
@@ -85,113 +81,6 @@ def eye(n):
     for i in range(n):
         m[i, i] = mpf(1)
     return m
-
-
-_ZERO_LINE = object()
-
-
-def _pack(xs, ctx, cap):
-    """A row or column of entries as signed ints over one exponent, for
-    :func:`matmul`.
-
-    Returns ``(lo, hi, re, im, parts)`` with x_k = (re[k] + i im[k]) 2^lo,
-    ``im`` None when no entry is an mpc, and ``parts[k]`` the raw (real,
-    imaginary) tuples of x_k.  ``_ZERO_LINE`` for an all-zero line; None
-    when an entry is not a finite mpf/mpc or the exponents spread over more
-    than ``cap`` bits."""
-    mpf_t, mpc_t = ctx.mpf, ctx.mpc
-    parts = []
-    cplx = False
-    for x in xs:
-        if type(x) is mpf_t:
-            parts.append((x._mpf_, fzero))
-        elif type(x) is mpc_t:
-            parts.append(x._mpc_)
-            cplx = True
-        else:
-            return None
-    exps = []
-    for p in parts:
-        for sign, man, e, bc in p:
-            if man:
-                exps.append(e)
-            elif e:
-                return None                # inf or nan
-    if not exps:
-        return _ZERO_LINE
-    lo, hi = min(exps), max(exps)
-    if hi - lo > cap:
-        return None
-    re = [(-man if sign else man) << (e - lo) if man else 0
-          for (sign, man, e, bc), _ in parts]
-    im = None
-    if cplx:
-        im = [(-man if sign else man) << (e - lo) if man else 0
-              for _, (sign, man, e, bc) in parts]
-    return lo, hi, re, im, parts
-
-
-def _product_span(parts_a, parts_b):
-    """Spread of the raw exponents of the nonzero products sum_k a_k b_k,
-    None when every product is zero."""
-    lo = hi = None
-    for pa, pb in zip(parts_a, parts_b):
-        ea = [t[2] for t in pa if t[1]]
-        eb = [t[2] for t in pb if t[1]]
-        if ea and eb:
-            k_lo, k_hi = min(ea) + min(eb), max(ea) + max(eb)
-            lo = k_lo if lo is None else min(lo, k_lo)
-            hi = k_hi if hi is None else max(hi, k_hi)
-    return None if lo is None else hi - lo
-
-
-def matmul(a, b):
-    """The matrix product ``a * b`` with the same bits as mpmath's, on
-    Python ints; the module docstring gives the argument and the cases
-    that go to ``fdot``."""
-    if a.cols != b.rows:
-        raise ValueError("dimensions not compatible for multiplication")
-    ctx = a.ctx
-    prec, rnd = ctx._prec_rounding
-    limit = 2 * prec                   # mpf_sum's max_extra_prec
-    b_cols = [[b[k, j] for k in range(b.rows)] for j in range(b.cols)]
-    pb_all = [_pack(c, ctx, 8 * prec) for c in b_cols]
-    out = ctx.matrix(a.rows, b.cols)
-    for i in range(a.rows):
-        a_row = [a[i, k] for k in range(a.cols)]
-        pa = _pack(a_row, ctx, 8 * prec)
-        for j, pb in enumerate(pb_all):
-            if pa is None or pb is None:
-                out[i, j] = ctx.fdot(a_row, b_cols[j])
-                continue
-            if pa is _ZERO_LINE or pb is _ZERO_LINE:
-                continue
-            lo_a, hi_a, re_a, im_a, parts_a = pa
-            lo_b, hi_b, re_b, im_b, parts_b = pb
-            if hi_a + hi_b - lo_a - lo_b > limit:
-                span = _product_span(parts_a, parts_b)
-                if span is None:
-                    continue
-                if span > limit:
-                    out[i, j] = ctx.fdot(a_row, b_cols[j])
-                    continue
-            e = lo_a + lo_b
-            re = sum(map(mul, re_a, re_b))
-            if im_a is None and im_b is None:
-                if re:
-                    out[i, j] = ctx.make_mpf(from_man_exp(re, e, prec, rnd))
-                continue
-            im = 0
-            if im_b is not None:
-                im += sum(map(mul, re_a, im_b))
-            if im_a is not None:
-                im += sum(map(mul, im_a, re_b))
-            if im_a is not None and im_b is not None:
-                re -= sum(map(mul, im_a, im_b))
-            if re or im:
-                out[i, j] = ctx.make_mpc((from_man_exp(re, e, prec, rnd),
-                                          from_man_exp(im, e, prec, rnd)))
-    return out
 
 
 def kron(a, b):
@@ -224,11 +113,12 @@ class Spectrum:
     q: object
 
     def fun(self, f):
-        """f(A) = Q diag(f(lambda_i)) Q*."""
+        """f(A) = Q diag(f(lambda_i)) Q*, scaling the columns of Q before
+        the one dense product."""
         d = matrix(len(self.evals), len(self.evals))
         for i, lam in enumerate(self.evals):
             d[i, i] = f(lam)
-        return matmul(matmul(self.q, d), dag(self.q))
+        return matmul(scale_columns(self.q, d), dag(self.q))
 
     def log(self):
         return self.fun(log)
@@ -270,32 +160,54 @@ def _strides(dims):
     return out
 
 
+def _leg_index(dims, legs):
+    """For every index of the full space, its multi-index over ``legs``
+    (in that order) as one row-major index."""
+    strides = _strides(dims)
+    sub = _strides([dims[l] for l in legs])
+    return [sum((i // strides[l]) % dims[l] * s for l, s in zip(legs, sub))
+            for i in range(math.prod(dims))]
+
+
+def _complement(dims, legs):
+    return tuple(l for l in range(len(dims)) if l not in legs)
+
+
 def embed(op, legs, dims):
     """Dense operator on the full product space acting as ``op`` on the
     chosen legs and as the identity elsewhere.  ``legs`` may be any subset."""
-    legs = tuple(legs)
     n = math.prod(dims)
-    strides = _strides(dims)
-
-    def split(idx):
-        return tuple((idx // strides[l]) % dims[l] for l in range(len(dims)))
-
-    sub_strides = _strides([dims[l] for l in legs])
-
-    def subidx(tup):
-        return sum(tup[k] * sub_strides[k] for k in range(len(legs)))
-
-    rest = [l for l in range(len(dims)) if l not in legs]
+    r_of = _leg_index(dims, tuple(legs))
+    c_of = _leg_index(dims, _complement(dims, legs))
     out = matrix(n, n)
     for i in range(n):
-        ti = split(i)
         for j in range(n):
-            tj = split(j)
-            if any(ti[l] != tj[l] for l in rest):
-                continue
-            out[i, j] = op[subidx(tuple(ti[l] for l in legs)),
-                           subidx(tuple(tj[l] for l in legs))]
+            if c_of[i] == c_of[j]:
+                out[i, j] = op[r_of[i], r_of[j]]
     return out
+
+
+def leg_product(a, b, legs, dims):
+    """``embed(a, legs, dims) * embed(b, complement, dims)`` with
+    :func:`matmul`'s bits, without forming either factor: entry (i, j) is
+    the single term a[i_R, j_R] b[i_C, j_C] (R the legs, C the rest)."""
+    n = math.prod(dims)
+    r_of = _leg_index(dims, tuple(legs))
+    c_of = _leg_index(dims, _complement(dims, legs))
+    rows = [[a[r, k] for k in range(a.cols)] for r in range(a.rows)]
+    cols = [[b[k, c] for k in range(b.rows)] for c in range(b.cols)]
+    zero = a.ctx.zero
+
+    def lines(i, j):
+        """Row i of the first embedded factor and column j of the second."""
+        return ([rows[r_of[i]][r_of[k]] if c_of[k] == c_of[i] else zero
+                 for k in range(n)],
+                [cols[c_of[j]][c_of[k]] if r_of[k] == r_of[j] else zero
+                 for k in range(n)])
+
+    return single_term_product(
+        a.ctx, (n, n), rows, cols,
+        lambda i, j: (r_of[i], r_of[j], c_of[j], c_of[i]), lines)
 
 
 def reduced_density(vec, dims, keep):
@@ -463,18 +375,17 @@ class SpatialDerivative:
 
     @property
     def complement(self):
-        return tuple(l for l in range(len(self.dims)) if l not in self.legs)
+        return _complement(self.dims, self.legs)
 
     def dense(self):
-        a = embed(self.rho_phi, self.legs, self.dims)
-        b = embed(self.spec_psi.pow(-1), self.complement, self.dims)
-        return matmul(a, b)
+        return leg_product(self.rho_phi, self.spec_psi.pow(-1), self.legs,
+                           self.dims)
 
     def power_it(self, t):
         """(d phi/d psi)^{it}, a unitary."""
-        a = embed(self.spec_phi.pow(1j * mpf(t)), self.legs, self.dims)
-        b = embed(self.spec_psi.pow(-1j * mpf(t)), self.complement, self.dims)
-        return matmul(a, b)
+        return leg_product(self.spec_phi.pow(1j * mpf(t)),
+                           self.spec_psi.pow(-1j * mpf(t)), self.legs,
+                           self.dims)
 
     def inverse(self) -> "SpatialDerivative":
         return SpatialDerivative(dims=self.dims, legs=self.complement,
@@ -595,7 +506,7 @@ def cocycle_chain_residual(psi, psi0, psi1, t):
 def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
     """Residual of (d phi/d psi0)^{it} = (d phi/d psi)^{it} (D psi:D psi0)_t
     with the cocycle embedded in the complement algebra."""
-    comp = tuple(l for l in range(len(dims)) if l not in legs)
+    comp = _complement(dims, legs)
     d0 = spatial_derivative(rho_phi, psi0, dims, legs)
     d1 = d0.with_psi(psi)
     lhs = d0.power_it(t)
@@ -641,7 +552,7 @@ def weight_mass_cocycle_oracle(flow: FlowGenerator, state: VectorState):
     V(-t) (d phi/d psi0)^{it} paired in xi, with psi0 the vector state on the
     commutant; the continued product is e^{-K} (d phi/d psi0)."""
     dims = state.dims
-    comp = tuple(l for l in range(len(dims)) if l not in state.legs)
+    comp = _complement(dims, state.legs)
     rho0 = reduced_density(state.vector, dims, comp)
     d0 = spatial_derivative(state.density, rho0, dims, state.legs)
     m = matmul(flow.exp_factor(mpf(-1)), d0.dense())

@@ -305,6 +305,28 @@ def test_cutoff_limit_refused_before_any_work(capsys, monkeypatch):
     assert cli.MAX_CUTOFF >= 20000       # perfbench's series dumps
 
 
+def test_precision_limit_refused_before_any_work(capsys, monkeypatch):
+    """One digit past the limit, by flag or by CFTINV_DPS, exits 1 with one
+    JSON line before the command starts."""
+    import cftinv.cli as cli
+
+    def never(*args):
+        raise AssertionError("the lab ran past the precision limit")
+
+    def refused(*argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert f"{over} exceeds the limit {cli.MAX_PRECISION}" in \
+            json.loads(err)["error"]
+
+    monkeypatch.setattr(cli, "cmd_lab", never)
+    over = str(cli.MAX_PRECISION + 1)
+    refused("lab", "--precision", over)
+    monkeypatch.setenv("CFTINV_DPS", over)
+    refused("lab")
+    cli.RunConfig(command="lab", precision=cli.MAX_PRECISION).validate()
+
+
 def test_dump_equals_all_sector_build(capsys, monkeypatch):
     """The dump builds one sector's series; its bytes are those of that
     sector in the all-sector build, for every sector of m = 5 and m = 8."""

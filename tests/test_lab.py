@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -181,6 +182,80 @@ def test_matmul_wide_exponents_fall_back_to_fdot(dps, monkeypatch):
                 for j in range(want.cols):
                     assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
         assert calls[0] > 0
+
+
+def assert_same_entries(got, want):
+    assert (got.rows, got.cols) == (want.rows, want.cols)
+    for i in range(want.rows):
+        for j in range(want.cols):
+            assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
+
+
+LEG_SUBSETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0), (0, 1, 2)]
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 3)], ids=str)
+def test_leg_product_matches_dense_oracle(dims):
+    """``leg_product`` has the bits and types of the dense product of the
+    two embedded factors, for every leg subset and its complement, with
+    rows that mix mpf and mpc and exact zeros."""
+    rng = rnd(16)
+    for legs in LEG_SUBSETS:
+        comp = tuple(l for l in range(3) if l not in legs)
+        na = math.prod(dims[l] for l in legs)
+        nb = math.prod(dims[l] for l in comp)
+        a = random_matrix(rng, na, na, "mixed")
+        b = random_matrix(rng, nb, nb, "mixed" if legs else "real")
+        if na > 1:
+            for k in range(na):
+                a[na - 1, k] = 0                 # a zero row
+        want = lab.matmul(lab.embed(a, legs, dims), lab.embed(b, comp, dims))
+        assert_same_entries(lab.leg_product(a, b, legs, dims), want)
+
+
+def test_leg_product_wide_exponents_fall_back_to_fdot(monkeypatch):
+    """A term whose exponents span more than 2 prec bits, a row spread over
+    more than 8 prec bits and an inf all go through fdot, as in matmul."""
+    rng = rnd(17)
+    dims, legs, comp = (2, 3, 2), (0, 2), (1,)
+    a = random_matrix(rng, 4, 4, "complex")
+    b = random_matrix(rng, 3, 3, "mixed")
+    wide = mpf(2) ** (3 * mp.prec // 2)
+    a[0, 1] = mpc(wide, 1 / wide)                # one term spans 3 prec
+    a[2, 0], a[2, 3] = a[2, 0] * wide ** 3, a[2, 3] / wide ** 3
+    b[1, 2] = mp.inf
+    want = lab.matmul(lab.embed(a, legs, dims), lab.embed(b, comp, dims))
+    calls = [0]
+    real = mp.fdot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "fdot", counted)
+    assert_same_entries(lab.leg_product(a, b, legs, dims), want)
+    assert calls[0] > 0
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_scale_columns_matches_dense_oracle(dps, monkeypatch):
+    """Q diag(f) as a column scaling has the bits of the dense product:
+    mpf and mpc factors, a zero factor, mixed rows, a wide exponent."""
+    rng = rnd(18)
+    with mp.workdps(dps):
+        wide = mpf(2) ** (3 * mp.prec // 2)
+        q = random_matrix(rng, 6, 5, "mixed")
+        q[3, 1] = mpc(wide, 1 / wide)
+        factors = [mpf("0.3"), mpc(0, 2), mpf(0), mpc(wide, 1), mpf(-7) / 3]
+        for vals in (factors, [mpf(x) for x in range(1, 6)]):
+            d = mp.diag(vals)
+            assert_same_entries(lab.scale_columns(q, d), lab.matmul(q, d))
+        sp = lab.Spectrum(evals=[mpf(k) / 7 for k in range(1, 6)],
+                          q=random_matrix(rng, 5, 5, "complex"))
+        for f in (lambda x: x, lambda x: mp.expj(x), lambda x: 0 * x):
+            d = mp.diag([f(lam) for lam in sp.evals])
+            assert_same_entries(sp.fun(f), lab.matmul(lab.matmul(sp.q, d),
+                                                      lab.dag(sp.q)))
 
 
 def test_spectrum_functions_and_guard():
