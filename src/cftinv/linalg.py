@@ -323,6 +323,10 @@ def _im(x):
     return fzero if len(x) == 4 else x[1]
 
 
+def _raw(x):
+    return x._mpc_ if hasattr(x, "_mpc_") else x._mpf_
+
+
 def _stored(x):
     """What an mpmath matrix gives back for ``x`` written into it."""
     return fzero if x == fzero or x == _MPC_ZERO else x
@@ -340,8 +344,8 @@ def _tridiag_0(A, prec, rnd):
             x = A[k][i]
             v = mpf_add(mpf_abs(_re(x), prec, rnd), mpf_abs(_im(x), prec, rnd),
                         prec, rnd)
-            scale = mpf_add(v if scale is None else scale,
-                            fzero if scale is None else v, prec, rnd)
+            scale = (mpf_add(v, fzero, prec, rnd) if scale is None
+                     else mpf_add(scale, v, prec, rnd))
         scale_inv = None
         if scale != fzero:
             scale_inv = mpf_rdiv_int(1, scale, prec, rnd)
@@ -366,8 +370,8 @@ def _tridiag_0(A, prec, rnd):
             rr, ii = _re(x), _im(x)
             v = mpf_add(mpf_mul(rr, rr, prec, rnd), mpf_mul(ii, ii, prec, rnd),
                         prec, rnd)
-            H = mpf_add(v if H is None else H, fzero if H is None else v,
-                        prec, rnd)
+            H = (mpf_add(v, fzero, prec, rnd) if H is None
+                 else mpf_add(H, v, prec, rnd))
         F = A[i - 1][i]
         f = _abs(F, prec, rnd)
         G = mpf_sqrt(H, prec, rnd)
@@ -528,9 +532,7 @@ def eighe(a):
     ctx = a.ctx
     prec, rnd = ctx._prec_rounding
     n = a.rows
-    mpc_t = ctx.mpc
-    A = [[x._mpc_ if type(x) is mpc_t else x._mpf_
-          for x in (a[i, j] for j in range(n))] for i in range(n)]
+    A = [[_raw(a[i, j]) for j in range(n)] for i in range(n)]
     d, e, t = _tridiag_0(A, prec, rnd)
     z = [[fone if w == i else fzero for w in range(n)] for i in range(n)]
     _tridiag_eigen(d, e, z, prec, rnd, ctx.eps._mpf_, 2 * ctx.dps)

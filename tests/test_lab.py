@@ -63,13 +63,17 @@ def _raw(x):
     return type(x), x._mpc_ if isinstance(x, mpc) else x._mpf_
 
 
-def assert_same_product(a, b):
-    """``lab.matmul(a, b)`` has the type and bits of mpmath's ``a * b``."""
-    want, got = a * b, lab.matmul(a, b)
+def assert_same_entries(got, want):
     assert (got.rows, got.cols) == (want.rows, want.cols)
     for i in range(want.rows):
         for j in range(want.cols):
             assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
+
+
+def assert_same_product(a, b):
+    """``lab.matmul(a, b)`` has the type and bits of mpmath's ``a * b``."""
+    got = lab.matmul(a, b)
+    assert_same_entries(got, a * b)
     return got
 
 
@@ -177,18 +181,8 @@ def test_matmul_wide_exponents_fall_back_to_fdot(dps, monkeypatch):
 
         monkeypatch.setattr(mp, "fdot", counted)
         for (x, y), want in zip(pairs, wants):
-            got = lab.matmul(x, y)
-            for i in range(want.rows):
-                for j in range(want.cols):
-                    assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
+            assert_same_entries(lab.matmul(x, y), want)
         assert calls[0] > 0
-
-
-def assert_same_entries(got, want):
-    assert (got.rows, got.cols) == (want.rows, want.cols)
-    for i in range(want.rows):
-        for j in range(want.cols):
-            assert _raw(got[i, j]) == _raw(want[i, j]), (i, j)
 
 
 LEG_SUBSETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0), (0, 1, 2)]
