@@ -15,14 +15,21 @@ one S-transform evaluation do.
 The build cases time the exact coefficient tables: ``partition_numbers``
 at the default cutoff and at the dump's 20000, one sector's
 ``character_coeffs`` at cutoff 20000 as ``characters --dump`` builds it
-(partition numbers included), and ``all_character_series`` for m = 3..8 at
-the default cutoff, as every evaluating command builds it.
+(partition numbers included), and every sector's full series
+(``all_character_series`` with each ``coeffs`` read) for m = 3..8 at the
+default cutoff, as ``verify --characters`` builds them.
+
+The command cases time what one evaluating command pays for its series: a
+fresh ``all_character_series`` at the default cutoff plus one
+``transform_traces`` at t = 0.1, with the module's per-t caches cleared
+before each round as a fresh process has them.
 """
 
 import pytest
 from mpmath import mp
 
 import cftinv as ci
+from cftinv import characters
 
 M, CUTOFF, DUMP_CUTOFF = 4, 2000, 20000
 
@@ -69,9 +76,32 @@ def test_character_coeffs_dump(benchmark, m):
     assert series.cutoff == DUMP_CUTOFF
 
 
+def _full_series(model):
+    return [s.coeffs for s in ci.all_character_series(model, CUTOFF)]
+
+
 @pytest.mark.parametrize("m", range(3, 9))
 def test_all_character_series(benchmark, m):
     model = ci.build_minimal_model(m)
-    series = benchmark.pedantic(ci.all_character_series, (model, CUTOFF),
-                                rounds=5, iterations=1)
-    assert len(series) == len(model.sectors)
+    coeffs = benchmark.pedantic(_full_series, (model,), rounds=5, iterations=1)
+    assert len(coeffs) == len(model.sectors)
+
+
+def _cold_caches():
+    for obj in vars(characters).values():
+        if hasattr(obj, "cache_clear"):
+            obj.cache_clear()
+
+
+def _series_and_transform(model, md):
+    return characters.transform_traces(
+        md, ci.all_character_series(model, CUTOFF), "0.1")
+
+
+@pytest.mark.parametrize("m", [3, 5, 8])
+def test_command_series_and_transform(benchmark, m):
+    model = ci.build_minimal_model(m)
+    md = ci.modular_matrices(model)
+    traces = benchmark.pedantic(_series_and_transform, (model, md),
+                                setup=_cold_caches, rounds=10, iterations=1)
+    assert len(traces) == len(model.sectors)

@@ -23,15 +23,19 @@ A character's a_k = sum_+ p(k - e) - sum_- p(k - e) over the theta
 exponents e is likewise one column sum over the lazily shifted views
 0^e p(0..cutoff-e), so no term builds a list of its own.
 
-Evaluation of Tr e^{-2 pi t (L0 - c/24)} truncates the series at the stored
-cutoff and reports a certified tail bound alongside the value, using
+Evaluation of Tr e^{-2 pi t (L0 - c/24)} truncates the series at its
+nominal cutoff and reports a certified tail bound alongside the value, using
 p(k) <= exp(pi sqrt(2k/3)).  The sum itself stops earlier, after the first
 K terms, where K is the smallest n whose tail bound past index n - 1 is below
-2^-(prec+3).  A character series has a_0 = 1 and 0 <= a_k <= p(k), so the
-running sum is >= 1 and every dropped term lies below half an ulp of it:
-under round-to-nearest adding it changes no bit.  The truncated sum therefore
-equals the sum over the whole stored series, and the reported error, still
-computed from the stored cutoff, is unchanged too.
+2^-(prec+3).  A character series has a_0 = 1 and 0 <= a_k <= p(k): a_k is
+the dimension of an L0-eigenspace, so its nonnegativity is a theorem, not a
+property of the stored numbers.  The running sum is therefore >= 1 and every
+dropped term lies below half an ulp of it: under round-to-nearest adding it
+changes no bit.  The truncated sum equals the sum to the nominal cutoff, and
+the reported error, still computed from that cutoff, is unchanged too.  So
+a series from :func:`all_character_series` builds on demand only the prefix
+a_0..a_{K-1} an evaluation reads, keeping the longest prefix built so far;
+the full series to the nominal cutoff is built only when ``coeffs`` is read.
 
 For small t the direct sum converges too slowly, so the S-matrix turns
 chi(it) into sum_nu S_{rho nu} chi_nu(i/t), which converges fast: at 50
@@ -106,21 +110,69 @@ def partition_numbers(n: int) -> list:
     return p
 
 
-@dataclass(frozen=True)
 class CharacterSeries:
-    """a_k = dim of the L0-eigenspace h+k in one irreducible sector."""
+    """a_k = dim of the L0-eigenspace h+k in one irreducible sector, for
+    k = 0..cutoff.
 
-    sector: Sector
-    c: Fraction
-    coeffs: tuple
+    A series from :func:`all_character_series` holds its model and nominal
+    cutoff and builds coefficients only when they are read: ``coeffs``
+    builds all of them on first read, ``_prefix(k)`` only a_0..a_{k-1}.
+    The series of one call share the list ``partitions``, which holds the
+    longest table p(0..n) any of them has needed.  A hand-built
+    ``CharacterSeries(sector=, c=, coeffs=)`` holds the given coefficients,
+    and its cutoff is ``len(coeffs) - 1``.
+    """
+
+    def __init__(self, sector: Sector, c: Fraction, coeffs=None, *,
+                 model: MinimalModel = None, cutoff: int = None,
+                 partitions: list = None):
+        self.sector = sector
+        self.c = c
+        self._model = model
+        self._partitions = [] if partitions is None else partitions
+        if coeffs is None:
+            self._built = ()            # the longest prefix built so far
+            self.cutoff = cutoff
+        else:
+            self._built = tuple(coeffs)
+            self.cutoff = len(self._built) - 1
+
+    def __eq__(self, other):
+        if not isinstance(other, CharacterSeries):
+            return NotImplemented
+        return ((self.sector, self.c, self.coeffs)
+                == (other.sector, other.c, other.coeffs))
+
+    def __repr__(self):
+        return (f"CharacterSeries(sector={self.sector!r}, c={self.c!r}, "
+                f"cutoff={self.cutoff})")
 
     @property
-    def cutoff(self) -> int:
-        return len(self.coeffs) - 1
+    def coeffs(self) -> tuple:
+        """a_0..a_cutoff, built in full on first read."""
+        return self._prefix(self.cutoff + 1)
+
+    def _prefix(self, k: int) -> tuple:
+        """a_0..a_{min(k, cutoff + 1) - 1}, building no coefficient past
+        them; a longer prefix built earlier is sliced instead."""
+        k = min(k, self.cutoff + 1)
+        if len(self._built) < k:
+            p = self._partitions
+            if len(p) < k:
+                p[:] = partition_numbers(k - 1)
+            self._built = character_coeffs(self._model, self.sector,
+                                           k - 1, p).coeffs
+        return self._built[:k]
 
     @cached_property
     def _sums_from_one(self) -> bool:
-        """a_0 >= 1 and no negative coefficient: every partial sum is >= 1."""
+        """a_0 >= 1 and no negative coefficient: every partial sum is >= 1.
+
+        A series the build makes has a_0 = 1 and a_k >= 0 by theorem, since
+        a_k is the dimension of an eigenspace, so only a hand-built series
+        is checked, over all its coefficients."""
+        if self._model is not None:
+            return True
         return self.coeffs[0] >= 1 and min(self.coeffs) >= 0
 
 
@@ -159,11 +211,31 @@ def character_coeffs(model: MinimalModel, sector: Sector, cutoff: int,
 
 
 def all_character_series(model: MinimalModel, cutoff: int) -> tuple:
-    p = partition_numbers(cutoff)
-    return tuple(character_coeffs(model, sec, cutoff, p) for sec in model.sectors)
+    """Every sector's series to the nominal ``cutoff``, in sector order; no
+    coefficient is built until it is read."""
+    if cutoff < 0:
+        raise ValueError("cutoff must be >= 0")
+    p = []
+    return tuple(CharacterSeries(sector=sec, c=model.c, model=model,
+                                 cutoff=cutoff, partitions=p)
+                 for sec in model.sectors)
 
 
 # ---------------------------------------------------------------- evaluation
+
+@lru_cache(maxsize=256)
+def _geometric_tail(cutoff: int, t, prec: int):
+    """(r ** (cutoff + 1), 1 - r) for the ratio r of :func:`_tail_bound`, or
+    None when r >= 1.  They depend on neither sector nor shift, so they are
+    cached per (cutoff, t, prec) as the S transform evaluates every sector
+    at one t."""
+    n1 = cutoff + 1
+    rate = pi * sqrt(mpf(2) / 3) / sqrt(n1) - 2 * pi * t
+    if rate >= 0:
+        return None
+    r = exp(rate)
+    return r ** n1, 1 - r
+
 
 def _tail_bound(cutoff: int, t, h, c, shifted: bool):
     """Rigorous bound on sum_{k > cutoff} a_k e^{-2 pi t (h + k [- c/24])}.
@@ -173,13 +245,12 @@ def _tail_bound(cutoff: int, t, h, c, shifted: bool):
     r = exp(pi sqrt(2/3)/sqrt(N+1) - 2 pi t).  Returns an mpf bound, or None
     when the ratio is not < 1 (cutoff too small to certify anything).
     """
-    n1 = cutoff + 1
-    rate = pi * sqrt(mpf(2) / 3) / sqrt(n1) - 2 * pi * t
-    if rate >= 0:
+    geometric = _geometric_tail(cutoff, t, mp.prec)
+    if geometric is None:
         return None
-    r = exp(rate)
+    r_n1, one_minus_r = geometric
     front = exp(-2 * pi * t * (h - (c if shifted else 0)))
-    return front * (r ** n1) / (1 - r)
+    return front * r_n1 / one_minus_r
 
 
 def required_cutoff(t, tol, h=0, c=None, shifted=True) -> int:
@@ -239,13 +310,15 @@ def evaluate(series: CharacterSeries, t, shifted: bool = True,
 
     ``shifted=False`` drops the c/24 shift and returns Tr e^{-2 pi t L0}.
     Raises :class:`InsufficientCutoffError` when the certified tail bound at
-    the stored cutoff exceeds ``tol`` (default: 10^(6-dps) of the value scale).
+    the nominal cutoff exceeds ``tol`` (default: 10^(6-dps) of the value
+    scale).
 
-    The sum stops after the first ``_terms_that_count(t, mp.prec)`` terms:
-    with a_0 >= 1 and 0 <= a_k <= p(k) each later term is below half an ulp
-    of the running sum and would not change it, so value and error are
-    bit for bit those of the sum over every stored coefficient.  A series
-    with a_0 < 1 or a negative coefficient is summed in full.
+    The sum reads only the first ``_terms_that_count(t, mp.prec)``
+    coefficients, building no others: with a_0 >= 1 and 0 <= a_k <= p(k)
+    each later term is below half an ulp of the running sum and would not
+    change it, so value and error are bit for bit those of the sum over
+    every coefficient to the cutoff.  A hand-built series with a_0 < 1 or a
+    negative coefficient is summed in full.
     """
     t = mpf(t)
     if t <= 0:
@@ -256,10 +329,9 @@ def evaluate(series: CharacterSeries, t, shifted: bool = True,
     q = exp(-2 * pi * t)
     acc = mpf(0)
     qp = mpf(1)
-    coeffs = series.coeffs
-    if series._sums_from_one:
-        coeffs = coeffs[:_terms_that_count(t, mp.prec)]
-    for a in coeffs:
+    n = (_terms_that_count(t, mp.prec) if series._sums_from_one
+         else series.cutoff + 1)
+    for a in series._prefix(n):
         if a:
             acc += a * qp
         qp *= q

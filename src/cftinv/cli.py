@@ -412,11 +412,11 @@ def cmd_characters(cfg: RunConfig, dump: bool = False) -> int:
         series, md, cfg.grid or spectral.DEFAULT_FIT_GRID)
     doc = {"schema": SCHEMA_VERSION, "command": "characters",
            "m": cfg.m, "cutoff": cfg.cutoff,
-           "coeffs_head": list(series[idx].coeffs[:32]),
+           "coeffs_head": list(series[idx]._prefix(32)),
            "values": [{"sector": r[0], "t": r[1], "value": r[2],
                        "certified_error": r[3]} for r in rows]}
     lines = [f"sector {cfg.sector}: a_0..a_{min(16, cfg.cutoff)} = "
-             + " ".join(str(a) for a in series[idx].coeffs[:17])]
+             + " ".join(str(a) for a in series[idx]._prefix(17))]
     lines += [f"{r[0]} t={decstr(r[1], 8)} value={decstr(r[2], 30)} "
               f"err={decstr(r[3], 3)}" for r in rows]
     _emit(cfg, doc, lines,

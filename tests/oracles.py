@@ -7,8 +7,10 @@ theta-style coefficient formula under test; it only uses the defining
 bracket relations.
 
 ``evaluate_full_sum`` is the character evaluation that sums every stored
-coefficient; the library's ``evaluate`` stops at the last term that can
-change a bit and must agree with it exactly.
+coefficient, with the tail bound ``tail_bound_direct`` computed afresh on
+each call; the library's ``evaluate`` stops at the last term that can
+change a bit, reuses the sector-independent part of the bound, and must
+agree with it exactly.
 
 ``mat_pow_fresh``, ``power_it_fresh`` and ``cocycle_direct_fresh`` decompose
 every density afresh on each call; the lab's shared spectra must reproduce
@@ -30,10 +32,10 @@ reproduce their integers exactly.
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf, exp, log, pi, eighe, matrix
+from mpmath import mp, mpf, exp, log, pi, eighe, matrix, sqrt
 
-from cftinv.characters import (CharacterSeries, TraceValue, _tail_bound,
-                               _theta_terms, required_cutoff)
+from cftinv.characters import (CharacterSeries, TraceValue, _theta_terms,
+                               required_cutoff)
 from cftinv.errors import InsufficientCutoffError
 from cftinv.fock import RatioRow
 from cftinv.lab import embed, matmul, trace
@@ -79,6 +81,18 @@ def character_coeffs_loop(model, sector, cutoff: int,
     return CharacterSeries(sector=sector, c=model.c, coeffs=tuple(a))
 
 
+def tail_bound_direct(cutoff, t, h, c, shifted):
+    """The certified tail bound of :func:`cftinv.characters._tail_bound`,
+    every factor computed on each call."""
+    n1 = cutoff + 1
+    rate = pi * sqrt(mpf(2) / 3) / sqrt(n1) - 2 * pi * t
+    if rate >= 0:
+        return None
+    r = exp(rate)
+    front = exp(-2 * pi * t * (h - (c if shifted else 0)))
+    return front * (r ** n1) / (1 - r)
+
+
 def evaluate_full_sum(series, t, shifted=True, tol=None):
     """chi(it) summed over all of ``series.coeffs``, with the certified error
     of :func:`cftinv.characters.evaluate`."""
@@ -87,7 +101,7 @@ def evaluate_full_sum(series, t, shifted=True, tol=None):
         raise ValueError("t must be positive")
     h = mpq(series.sector.h)
     c24 = mpq(series.c) / 24
-    tail = _tail_bound(series.cutoff, t, h, c24, shifted)
+    tail = tail_bound_direct(series.cutoff, t, h, c24, shifted)
     q = exp(-2 * pi * t)
     acc = mpf(0)
     qp = mpf(1)

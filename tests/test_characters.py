@@ -8,7 +8,8 @@ from cftinv import characters
 from cftinv.errors import InsufficientCutoffError
 from cftinv.modular_data import mpq
 from oracles import (character_coeffs_loop, evaluate_full_sum,
-                     irreducible_graded_dims, partition_numbers_loop)
+                     irreducible_graded_dims, partition_numbers_loop,
+                     tail_bound_direct)
 
 
 def test_partition_numbers():
@@ -216,6 +217,22 @@ def test_required_cutoff_is_minimal(t, tol, h, c, shifted):
         assert below is None or below >= tol
 
 
+def test_tail_bound_matches_direct_formula():
+    """The cached sector-independent factors give the bound computed afresh,
+    bit for bit, on first and repeated calls and at every precision."""
+    for dps in (30, 50, 100):
+        with mp.workdps(dps):
+            for _ in range(2):
+                for cutoff in (0, 1, 30, 2000):
+                    for t in ("0.01", "0.05", "0.3", "2", "250"):
+                        for h, c in ((0, 0), ("1/16", "1/48"), ("3/2", "7/240")):
+                            h, c = mpq(Fraction(h)), mpq(Fraction(c))
+                            for shifted in (True, False):
+                                args = (cutoff, mpf(t), h, c, shifted)
+                                assert characters._tail_bound(*args) == \
+                                    tail_bound_direct(*args), (dps, args)
+
+
 def test_small_t_matches_direct(md3, series3):
     for idx in range(3):
         a = ci.evaluate(series3[idx], "0.5").value
@@ -331,3 +348,89 @@ def test_csv_rows_evaluate_each_dual_once(monkeypatch):
     rows = values_csv_rows(series, md, grid)
     assert calls[0] == 20
     assert [tuple(r) for r in rows] == want
+
+
+# ------------------------------------------------ on-demand coefficient build
+
+def _outcome(series, t, shifted):
+    """(value, error), or the refusal's message and required cutoff."""
+    try:
+        tv = ci.evaluate(series, t, shifted=shifted)
+    except InsufficientCutoffError as exc:
+        return "refused", str(exc), exc.required_cutoff
+    return tv.value, tv.error
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_lazy_series_evaluate_bit_identical_to_eager(m):
+    """A series that builds only the prefix the sum reads gives the value
+    and certified error of the fully built series, bit for bit."""
+    model = ci.build_minimal_model(m)
+    lazy = ci.all_character_series(model, 2000)
+    eager = [ci.character_coeffs(model, sec, 2000) for sec in model.sectors]
+    for dps in (30, 50, 100):
+        with mp.workdps(dps):
+            for t in ("0.05", "0.3", "0.5", "1", "2", "20", "250"):
+                for shifted in (True, False):
+                    for a, b in zip(lazy, eager):
+                        assert _outcome(a, t, shifted) == _outcome(b, t, shifted), \
+                            (m, a.sector.name, dps, t, shifted)
+    assert all(len(s._built) < 2001 for s in lazy)
+
+
+@pytest.mark.parametrize("cutoff", [0, 1, 30, 2000])
+def test_prefix_matches_full_build(model4, cutoff):
+    """_prefix(k) is a_0..a_{k-1} of the full build, clipped at the cutoff,
+    whether asked on a fresh series, after other prefixes, or after the
+    full series has been read."""
+    ks = (0, 1, 2, 17, 32, cutoff, cutoff + 1, cutoff + 5)
+    for i, sec in enumerate(model4.sectors):
+        full = ci.character_coeffs(model4, sec, cutoff).coeffs
+        for k in ks:
+            fresh = ci.all_character_series(model4, cutoff)[i]
+            assert fresh._prefix(k) == full[:k], (sec.name, cutoff, k)
+        reused = ci.all_character_series(model4, cutoff)[i]
+        for k in ks + ks[::-1]:
+            assert reused._prefix(k) == full[:k], (sec.name, cutoff, k)
+        assert reused.cutoff == cutoff
+        assert reused.coeffs == full
+        for k in ks:
+            assert reused._prefix(k) == full[:k], (sec.name, cutoff, k)
+
+
+def test_lazy_insufficient_cutoff_unchanged(model3):
+    """At nominal cutoff 30 the refusal and its required cutoff are those of
+    the series built to 30."""
+    lazy = ci.all_character_series(model3, 30)[0]
+    eager = ci.character_coeffs(model3, model3.sectors[0], 30)
+    for shifted in (True, False):
+        got, want = _outcome(lazy, "0.05", shifted), _outcome(eager, "0.05", shifted)
+        assert got[0] == "refused" and got == want
+        assert got[2] > 30
+
+
+def test_all_character_series_negative_cutoff(model3):
+    with pytest.raises(ValueError, match="cutoff must be >= 0"):
+        ci.all_character_series(model3, -1)
+
+
+def test_evaluating_commands_build_few_coefficients(monkeypatch, capsys):
+    """The fit and a characters grid read a few dozen coefficients per
+    sector, not the default cutoff's 2001."""
+    from cftinv.cli import main
+
+    built = [0]
+    real = characters.character_coeffs
+
+    def counted(*args, **kwargs):
+        series = real(*args, **kwargs)
+        built[0] += len(series.coeffs)
+        return series
+
+    monkeypatch.setattr(characters, "character_coeffs", counted)
+    ci.all_character_series(ci.build_minimal_model(8), 2000)
+    assert built[0] == 0
+    assert main(["invariants", "--m", "3"]) == 0
+    assert main(["characters", "--m", "4", "--grid", "0.1:2:4"]) == 0
+    capsys.readouterr()
+    assert 0 < built[0] < 1000

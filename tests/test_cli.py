@@ -363,3 +363,34 @@ def test_cli_import_loads_no_numpy():
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "False"
+
+
+
+# the library names perfbench/checks.py uses, and the S-matrix indexing
+CHECKS_PROBE = """
+import checks
+from fractions import Fraction
+from cftinv.cli import FIT_TOLERANCES
+from cftinv.characters import all_character_series, evaluate
+from cftinv.modular_data import build_minimal_model, modular_matrices, mpq
+model = build_minimal_model(3)
+md = modular_matrices(model)
+series = all_character_series(model, 30)
+assert sorted(FIT_TOLERANCES) == ["a0", "a1", "a2"]
+assert md.S[0, 1] > 0 and evaluate(series[0], 1).value > mpq(Fraction(1))
+"""
+
+
+def test_fresh_import_and_benchmark_names():
+    """A fresh interpreter with no bytecode cache imports ``cftinv.cli``,
+    and the benchmark's output checks import and find every library name
+    they use."""
+    root = Path(__file__).resolve().parent.parent
+    src = str(root / "src")
+    for path, probe in ((src, "import cftinv.cli"),
+                        (src + os.pathsep + str(root / "perfbench"), CHECKS_PROBE)):
+        done = subprocess.run([sys.executable, "-c", probe], cwd=root,
+                              env=dict(os.environ, PYTHONPATH=path,
+                                       PYTHONDONTWRITEBYTECODE="1"),
+                              capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
