@@ -25,21 +25,19 @@ from .characters import (CharacterSeries, TraceValue, all_character_series,
                          s_transform_residual, required_cutoff)
 from .spectral import (AsymptoticFit, DEFAULT_FIT_GRID, TwoDimSpec,
                        cardy_count_check, clean_fit_grid, combine_2d,
-                       compare_log_elliptic, dimension_estimate,
-                       fit_invariants, fit_report, index_density_derivative,
-                       kw_ratio, sector_log_trace, sector_log_trace_bare,
-                       two_dim_spec, weyl_heat_demo)
+                       dimension_estimate, fit_invariants, fit_report,
+                       index_density_derivative, kw_ratio, sector_log_trace,
+                       sector_log_trace_bare, two_dim_spec, weyl_heat_demo)
 from .virasoro import (MoebiusMap, VirElement, L, bracket, central,
                        cover_action, free_energy, generator_shift,
                        jacobi_residual, rescale_embed, verify_embedding)
 from .fock import (OneParticleOperator, contraction, positive, gamma_trace,
                    gamma_trace_bruteforce, log_gamma_trace, fermi_ratio_scan,
                    linear_spectrum_ratio_limit)
-from .lab import (FiniteFactorTriple, FlowGenerator, VectorState,
-                  araki_relative_entropy, canonical_flow, connes_cocycle,
-                  entropy_derivative_identity, index_product,
-                  pimsner_popa_entropy, relative_entropy_oracle,
-                  spatial_derivative, weight_total_mass)
+from .lab import (FiniteFactorTriple, FlowGenerator, araki_relative_entropy,
+                  canonical_flow, connes_cocycle, entropy_derivative_identity,
+                  index_product, pimsner_popa_entropy, relative_entropy_oracle,
+                  spatial_derivative)
 from .bridge import (BlackHoleParams, cardy_density_reference, cell_entropy,
                      cell_increment, hawking_and_bekenstein,
                      incremental_free_energy, mu_free_energy,

@@ -210,33 +210,6 @@ def leg_product(a, b, legs, dims):
         lambda i, j: (r_of[i], r_of[j], c_of[j], c_of[i]), lines)
 
 
-def reduced_density(vec, dims, keep):
-    """Partial trace of |vec><vec| onto the chosen legs."""
-    keep = tuple(keep)
-    rest = [l for l in range(len(dims)) if l not in keep]
-    strides = _strides(dims)
-    dk = math.prod(dims[l] for l in keep)
-    keep_strides = _strides([dims[l] for l in keep])
-    n = len(vec)
-    rho = matrix(dk, dk)
-    comp = []
-    for i in range(n):
-        tup = tuple((i // strides[l]) % dims[l] for l in range(len(dims)))
-        a = sum(tup[keep[k]] * keep_strides[k] for k in range(len(keep)))
-        b = tuple(tup[l] for l in rest)
-        comp.append((a, b))
-    for i in range(n):
-        ai, bi = comp[i]
-        vi = vec[i]
-        if vi == 0:
-            continue
-        for j in range(n):
-            aj, bj = comp[j]
-            if bi == bj:
-                rho[ai, aj] += vi * mp.conj(vec[j])
-    return rho
-
-
 # --------------------------------------------------------------- randomness
 
 def random_density(n, rng: random.Random, floor=mpf("0.08")):
@@ -253,16 +226,6 @@ def random_density(n, rng: random.Random, floor=mpf("0.08")):
             rho[i, j] = (w[i, j] / t) / (1 + floor)
         rho[i, i] += (floor / n) / (1 + floor)
     return rho
-
-
-def random_unit_vector(n, rng: random.Random):
-    v = matrix(n, 1)
-    for i in range(n):
-        v[i] = mpc(rng.gauss(0, 1), rng.gauss(0, 1))
-    nrm = sqrt(sum(abs(v[i]) ** 2 for i in range(n)))
-    for i in range(n):
-        v[i] /= nrm
-    return v
 
 
 # -------------------------------------------------------------------- types
@@ -286,25 +249,6 @@ class FiniteFactorTriple:
 
 
 @dataclass(frozen=True)
-class VectorState:
-    """Unit vector with the reduced density on its designated legs."""
-
-    vector: object         # mp.matrix column on the full space
-    dims: tuple
-    legs: tuple            # the legs whose algebra the state is read on
-    density: object        # reduced density on those legs
-
-    @staticmethod
-    def make(vec, dims, legs) -> "VectorState":
-        rho = reduced_density(vec, dims, legs)
-        # a rank-deficient marginal means the vector is not separating
-        spectrum(rho, "reduced density on the designated legs",
-                 NotSeparatingError)
-        return VectorState(vector=vec, dims=tuple(dims), legs=tuple(legs),
-                           density=rho)
-
-
-@dataclass(frozen=True)
 class FlowGenerator:
     """Self-adjoint generator K = sum of per-leg Hermitian terms plus a
     scalar; V(t) = e^{itK}.  Each term acts on one leg, so Ad V(t) preserves
@@ -324,26 +268,6 @@ class FlowGenerator:
             if l in legs and sp is not None:
                 acc += embed(sp.fun(lambda x: x), (legs.index(l),), sub)
         return acc
-
-    def exp_factor(self, s):
-        """e^{sK} as one dense matrix on the full space, the product of the
-        per-leg factors e^{s K_l} read off the spectra."""
-        out = None
-        for l, sp in enumerate(self.terms):
-            if sp is not None:
-                f = embed(sp.fun(lambda lam: exp(s * lam)), (l,), self.dims)
-                out = f if out is None else matmul(out, f)
-        if out is None:
-            out = eye(math.prod(self.dims))
-        return exp(s * self.const) * out
-
-
-def flow_from_legs(dims, leg_generators, const=mpf(0)) -> FlowGenerator:
-    """The flow with the given dense Hermitian generator (or None) per leg,
-    each decomposed once."""
-    terms = tuple(None if k is None else spectrum(k) for k in leg_generators)
-    return FlowGenerator(dims=tuple(dims), terms=terms, const=mpf(const))
-
 
 def canonical_flow(triple: FiniteFactorTriple, rho1, rho3) -> FlowGenerator:
     """The flow with K = log rho1 on leg 1 and -log rho3 on leg 3, trivial on
@@ -503,18 +427,6 @@ def cocycle_chain_residual(psi, psi0, psi1, t):
     return max_abs(matmul(a, b) - c)
 
 
-def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
-    """Residual of (d phi/d psi0)^{it} = (d phi/d psi)^{it} (D psi:D psi0)_t
-    with the cocycle embedded in the complement algebra."""
-    comp = _complement(dims, legs)
-    d0 = spatial_derivative(rho_phi, psi0, dims, legs)
-    d1 = d0.with_psi(psi)
-    lhs = d0.power_it(t)
-    rhs = matmul(d1.power_it(t),
-                 embed(_cocycle(d1.spec_psi, d0.spec_psi, t), comp, dims))
-    return max_abs(lhs - rhs)
-
-
 # ------------------------------------------------------------ weight masses
 
 def _flow_matches_state(flow: FlowGenerator, legs, rho, sign=1,
@@ -531,34 +443,6 @@ def _flow_matches_state(flow: FlowGenerator, legs, rho, sign=1,
             f"flow does not implement the modular group on legs {legs}: "
             f"residual {mp.nstr(resid, 4)}")
     return mean  # the scalar offset
-
-
-def weight_total_mass(flow: FlowGenerator, state: VectorState,
-                      tol=mpf("1e-20")):
-    """(e^{-K} xi, xi): total mass of the weight associated with the flow on
-    the commutant of the designated algebra.
-
-    Requires Ad V(t) restricted to the designated algebra to be the modular
-    group of the vector state (checked; violation raises)."""
-    _flow_matches_state(flow, state.legs, state.density, sign=1, tol=tol)
-    em = flow.exp_factor(mpf(-1))
-    v = state.vector
-    w = matmul(em, v)
-    return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
-
-
-def weight_mass_cocycle_oracle(flow: FlowGenerator, state: VectorState):
-    """Independent mass evaluation: analytic continuation at t = -i of
-    V(-t) (d phi/d psi0)^{it} paired in xi, with psi0 the vector state on the
-    commutant; the continued product is e^{-K} (d phi/d psi0)."""
-    dims = state.dims
-    comp = _complement(dims, state.legs)
-    rho0 = reduced_density(state.vector, dims, comp)
-    d0 = spatial_derivative(state.density, rho0, dims, state.legs)
-    m = matmul(flow.exp_factor(mpf(-1)), d0.dense())
-    v = state.vector
-    w = matmul(m, v)
-    return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
 
 
 @dataclass(frozen=True)

@@ -22,8 +22,7 @@ from fractions import Fraction
 
 from mpmath import mp, mpf, log, pi, sqrt, matrix, lu_solve
 
-from .errors import (InconsistencyError, NonEllipticDataError,
-                     UndefinedDimensionError, WindowError)
+from .errors import NonEllipticDataError, UndefinedDimensionError, WindowError
 from .characters import (CharacterSeries, count_states, evaluate,
                          evaluate_small_t, transform_traces)
 from .modular_data import ModularData, mpq
@@ -193,38 +192,6 @@ def sector_log_trace_bare(md: ModularData, all_series, rho):
         return log(evaluate_small_t(md, all_series, idx, mpf(t) / two_pi,
                                      shifted=False).value)
     return fn
-
-
-@dataclass(frozen=True)
-class EllipticComparison:
-    n_a: object
-    n_b: object
-    a0_deviation: object
-    log_lambda: object       # a1 - a1' for the n = 2 case
-    claimed_log_lambda: object
-    deviation: object
-
-
-def compare_log_elliptic(fit_a: AsymptoticFit, fit_b: AsymptoticFit,
-                         ratio_limit, dim_rel_tol=0.05) -> EllipticComparison:
-    """Consistency of two log-elliptic fits whose trace ratio tends to
-    ``ratio_limit``: equal dimensions, equal a0, and (for dimension 2)
-    log(ratio_limit) = a1 - a1'."""
-    na, nb = fit_a.n_dim, fit_b.n_dim
-    ratio_limit = mpf(ratio_limit)
-    if na is not None and nb is not None:
-        if abs(na - nb) > dim_rel_tol * max(abs(na), abs(nb)):
-            if ratio_limit != 0:
-                raise InconsistencyError(
-                    f"dimensions {mp.nstr(na, 4)} and {mp.nstr(nb, 4)} differ; "
-                    "a nonzero trace-ratio limit is impossible")
-    log_lambda = fit_a.a1 - fit_b.a1
-    claimed = log(ratio_limit) if ratio_limit > 0 else mpf("nan")
-    return EllipticComparison(n_a=na, n_b=nb,
-                              a0_deviation=abs(fit_a.a0 - fit_b.a0),
-                              log_lambda=log_lambda,
-                              claimed_log_lambda=claimed,
-                              deviation=abs(log_lambda - claimed))
 
 
 # ------------------------------------------------------------ state counting

@@ -27,19 +27,35 @@ that cannot change a bit, must reproduce its sums bit for bit.
 ``partition_numbers_loop`` and ``character_coeffs_loop`` are the per-index
 loops of the exact coefficient build; the library's column-sum build must
 reproduce their integers exactly.
+
+``VectorState`` and ``weight_total_mass`` check the lab from another side:
+a unit vector in H1 (x) H2, its reduced densities, and the total mass
+(e^{-K} xi, xi) of the weight a flow defines on the commutant, against the
+cocycle/analytic-continuation oracle ``weight_mass_cocycle_oracle``.
+``exp_factor`` forms e^{sK} densely, and
+``spatial_cocycle_factorization_residual`` is the residual of
+(d phi/d psi0)^{it} = (d phi/d psi)^{it} (D psi:D psi0)_t.
+``compare_log_elliptic`` relates two heat-trace fits whose trace ratio has
+a known limit.
 """
 
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from mpmath import mp, mpf, exp, log, pi, eighe, matrix, sqrt
+from mpmath import mp, mpf, mpc, exp, log, pi, eighe, matrix, sqrt
 
 from cftinv.characters import (CharacterSeries, TraceValue, _theta_terms,
                                required_cutoff)
-from cftinv.errors import InsufficientCutoffError
+from cftinv.errors import (InconsistencyError, InsufficientCutoffError,
+                           NotSeparatingError)
 from cftinv.fock import RatioRow
-from cftinv.lab import embed, matmul, trace
+from cftinv.lab import (FlowGenerator, _cocycle, _complement,
+                        _flow_matches_state, _strides, embed, eye, matmul,
+                        max_abs, spatial_derivative, spectrum, trace)
 from cftinv.modular_data import mpq
+from cftinv.spectral import AsymptoticFit
 
 
 def partition_numbers_loop(n: int) -> list:
@@ -170,6 +186,154 @@ def index_product_fresh(triple, rho1, rho3, flow):
         / d1 if k1 is not None else mpf(1)
     mass2 = (1 / e) * lam1 * tr_exp(k2, -1, d2) * tr_exp(k3, -1, d3)
     return mass1, mass2
+
+
+def spatial_cocycle_factorization_residual(rho_phi, psi, psi0, dims, legs, t):
+    """Residual of (d phi/d psi0)^{it} = (d phi/d psi)^{it} (D psi:D psi0)_t
+    with the cocycle embedded in the complement algebra."""
+    comp = _complement(dims, legs)
+    d0 = spatial_derivative(rho_phi, psi0, dims, legs)
+    d1 = d0.with_psi(psi)
+    lhs = d0.power_it(t)
+    rhs = matmul(d1.power_it(t),
+                 embed(_cocycle(d1.spec_psi, d0.spec_psi, t), comp, dims))
+    return max_abs(lhs - rhs)
+
+
+def reduced_density(vec, dims, keep):
+    """Partial trace of |vec><vec| onto the chosen legs."""
+    keep = tuple(keep)
+    rest = [l for l in range(len(dims)) if l not in keep]
+    strides = _strides(dims)
+    dk = math.prod(dims[l] for l in keep)
+    keep_strides = _strides([dims[l] for l in keep])
+    n = len(vec)
+    rho = matrix(dk, dk)
+    comp = []
+    for i in range(n):
+        tup = tuple((i // strides[l]) % dims[l] for l in range(len(dims)))
+        a = sum(tup[keep[k]] * keep_strides[k] for k in range(len(keep)))
+        b = tuple(tup[l] for l in rest)
+        comp.append((a, b))
+    for i in range(n):
+        ai, bi = comp[i]
+        vi = vec[i]
+        if vi == 0:
+            continue
+        for j in range(n):
+            aj, bj = comp[j]
+            if bi == bj:
+                rho[ai, aj] += vi * mp.conj(vec[j])
+    return rho
+
+
+def random_unit_vector(n, rng):
+    v = matrix(n, 1)
+    for i in range(n):
+        v[i] = mpc(rng.gauss(0, 1), rng.gauss(0, 1))
+    nrm = sqrt(sum(abs(v[i]) ** 2 for i in range(n)))
+    for i in range(n):
+        v[i] /= nrm
+    return v
+
+
+@dataclass(frozen=True)
+class VectorState:
+    """Unit vector with the reduced density on its designated legs."""
+
+    vector: object         # mp.matrix column on the full space
+    dims: tuple
+    legs: tuple            # the legs whose algebra the state is read on
+    density: object        # reduced density on those legs
+
+    @staticmethod
+    def make(vec, dims, legs) -> "VectorState":
+        rho = reduced_density(vec, dims, legs)
+        # a rank-deficient marginal means the vector is not separating
+        spectrum(rho, "reduced density on the designated legs",
+                 NotSeparatingError)
+        return VectorState(vector=vec, dims=tuple(dims), legs=tuple(legs),
+                           density=rho)
+
+
+def exp_factor(flow: FlowGenerator, s):
+    """e^{sK} as one dense matrix on the full space, the product of the
+    per-leg factors e^{s K_l} read off the spectra."""
+    out = None
+    for l, sp in enumerate(flow.terms):
+        if sp is not None:
+            f = embed(sp.fun(lambda lam: exp(s * lam)), (l,), flow.dims)
+            out = f if out is None else matmul(out, f)
+    if out is None:
+        out = eye(math.prod(flow.dims))
+    return exp(s * flow.const) * out
+
+
+def flow_from_legs(dims, leg_generators, const=mpf(0)) -> FlowGenerator:
+    """The flow with the given dense Hermitian generator (or None) per leg,
+    each decomposed once."""
+    terms = tuple(None if k is None else spectrum(k) for k in leg_generators)
+    return FlowGenerator(dims=tuple(dims), terms=terms, const=mpf(const))
+
+
+def weight_total_mass(flow: FlowGenerator, state: VectorState,
+                      tol=mpf("1e-20")):
+    """(e^{-K} xi, xi): total mass of the weight associated with the flow on
+    the commutant of the designated algebra.
+
+    Requires Ad V(t) restricted to the designated algebra to be the modular
+    group of the vector state (checked; violation raises)."""
+    _flow_matches_state(flow, state.legs, state.density, sign=1, tol=tol)
+    em = exp_factor(flow, mpf(-1))
+    v = state.vector
+    w = matmul(em, v)
+    return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
+
+
+def weight_mass_cocycle_oracle(flow: FlowGenerator, state: VectorState):
+    """Independent mass evaluation: analytic continuation at t = -i of
+    V(-t) (d phi/d psi0)^{it} paired in xi, with psi0 the vector state on the
+    commutant; the continued product is e^{-K} (d phi/d psi0)."""
+    dims = state.dims
+    comp = _complement(dims, state.legs)
+    rho0 = reduced_density(state.vector, dims, comp)
+    d0 = spatial_derivative(state.density, rho0, dims, state.legs)
+    m = matmul(exp_factor(flow, mpf(-1)), d0.dense())
+    v = state.vector
+    w = matmul(m, v)
+    return mp.re(sum(mp.conj(v[i]) * w[i] for i in range(len(v))))
+
+
+@dataclass(frozen=True)
+class EllipticComparison:
+    n_a: object
+    n_b: object
+    a0_deviation: object
+    log_lambda: object       # a1 - a1' for the n = 2 case
+    claimed_log_lambda: object
+    deviation: object
+
+
+def compare_log_elliptic(fit_a: AsymptoticFit, fit_b: AsymptoticFit,
+                         ratio_limit, dim_rel_tol=0.05) -> EllipticComparison:
+    """Consistency of two log-elliptic fits whose trace ratio tends to
+    ``ratio_limit``: equal dimensions, equal a0, and (for dimension 2)
+    log(ratio_limit) = a1 - a1'."""
+    na, nb = fit_a.n_dim, fit_b.n_dim
+    ratio_limit = mpf(ratio_limit)
+    if na is not None and nb is not None:
+        if abs(na - nb) > dim_rel_tol * max(abs(na), abs(nb)):
+            if ratio_limit != 0:
+                raise InconsistencyError(
+                    f"dimensions {mp.nstr(na, 4)} and {mp.nstr(nb, 4)} differ; "
+                    "a nonzero trace-ratio limit is impossible")
+    log_lambda = fit_a.a1 - fit_b.a1
+    claimed = log(ratio_limit) if ratio_limit > 0 else mpf("nan")
+    return EllipticComparison(n_a=na, n_b=nb,
+                              a0_deviation=abs(fit_a.a0 - fit_b.a0),
+                              log_lambda=log_lambda,
+                              claimed_log_lambda=claimed,
+                              deviation=abs(log_lambda - claimed))
 
 
 def gamma_trace_bruteforce_mpf(a, statistics, occupancy_cutoff=40):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -112,6 +113,55 @@ def test_verify_deterministic_reports(tmp_path, capsys):
                          "--seed", "42", "-o", str(path))
         assert code == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+#: sha256 and length of stdout for report commands, with CFTINV_DPS unset;
+#: any change to a report byte changes these.
+REPORT_DIGESTS = {
+    ("verify", "--all", "--seed", "42", "--format", "json"):
+        (0, 7524,
+         "ee64021cb8cb60e96aa60d7c26d0522d9416b39a8f377f33c81d3830da157a23"),
+    ("verify", "--characters", "--modular", "--cutoff", "30", "--format", "json"):
+        (2, 2268,
+         "58b27d0919c11fb2633c9999a741237e465b5a91f658736aa3881a6330819f82"),
+    ("lab", "--dims", "2,3,2", "--seed", "7", "--format", "json"):
+        (0, 4680,
+         "fb5b6f0c30549ee61a3c14b5b911b660575827b8f54b70047dbf6a1010423f07"),
+}
+
+
+@pytest.mark.parametrize("argv", list(REPORT_DIGESTS), ids=" ".join)
+def test_report_bytes_pinned(capsys, monkeypatch, argv):
+    monkeypatch.delenv("CFTINV_DPS", raising=False)
+    code, out, err = run(capsys, *argv)
+    data = out.encode()
+    assert (code, len(data), hashlib.sha256(data).hexdigest(), err) == \
+        (*REPORT_DIGESTS[argv], "")
+
+
+def test_verify_builds_modular_data_once(capsys, monkeypatch):
+    """The modular and characters batteries share one model and one
+    ModularData; batteries that read neither build none."""
+    from cftinv import modular_data
+
+    calls = {"build_minimal_model": 0, "modular_matrices": 0}
+
+    def counted(name):
+        real = getattr(modular_data, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(modular_data, name, counted(name))
+    code, out, _ = run(capsys, "verify", "--modular", "--characters", "--m", "4")
+    assert code == 0 and "s-transform-residual-m4" in out
+    assert calls == {"build_minimal_model": 1, "modular_matrices": 1}
+    code, out, _ = run(capsys, "verify", "--fock", "--bridge", "--virasoro")
+    assert code == 0 and "ALL PASS" in out
+    assert calls == {"build_minimal_model": 1, "modular_matrices": 1}
 
 
 def test_lab_report_fields(capsys, tmp_path):
@@ -256,17 +306,20 @@ def test_malformed_inputs_never_panic(capsys, tmp_path):
 
 def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
     import cftinv.cli as cli
-    from cftinv import lab
+    from cftinv import lab, verify
 
     def never(*args):
         raise AssertionError("the lab battery ran past the --dims limit")
 
-    monkeypatch.setattr(cli, "battery_appendix_c", never)
+    monkeypatch.setattr(verify, "battery_appendix_c", never)
     for argv in (("lab", "--dims", "5,13,1"),
                  ("verify", "--appendix-c", "--dims", "5,13,1")):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == "" and err.count("\n") == 1
         assert str(lab.MAX_DIM) in json.loads(err)["error"]
+        # within the limit both commands reach the patched battery
+        with pytest.raises(AssertionError, match="--dims limit"):
+            main([*argv[:-1], "1,1,1"])
     cli.RunConfig(command="lab", dims=(4, 4, 4)).validate()
     assert lab.MAX_DIM == 64
 

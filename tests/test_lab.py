@@ -8,7 +8,11 @@ import cftinv as ci
 from cftinv import lab
 from cftinv.errors import (HypothesisViolationError, IdentityViolationError,
                            NotSeparatingError, RankDeficiencyError)
-from oracles import cocycle_direct_fresh, index_product_fresh, power_it_fresh
+from oracles import (VectorState, cocycle_direct_fresh, exp_factor,
+                     flow_from_legs, index_product_fresh, power_it_fresh,
+                     random_unit_vector, reduced_density,
+                     spatial_cocycle_factorization_residual,
+                     weight_mass_cocycle_oracle, weight_total_mass)
 
 
 @pytest.fixture(autouse=True)
@@ -47,13 +51,13 @@ def test_embed_non_contiguous():
 
 def test_reduced_density_pure_product():
     rng = rnd(3)
-    v1 = lab.random_unit_vector(2, rng)
-    v2 = lab.random_unit_vector(3, rng)
+    v1 = random_unit_vector(2, rng)
+    v2 = random_unit_vector(3, rng)
     full = matrix(6, 1)
     for i in range(2):
         for j in range(3):
             full[i * 3 + j] = v1[i] * v2[j]
-    rho = lab.reduced_density(full, (2, 3), (1,))
+    rho = reduced_density(full, (2, 3), (1,))
     expect = v2 * lab.dag(v2)
     assert lab.max_abs(rho - expect) < mpf("1e-28")
 
@@ -141,7 +145,7 @@ def test_matmul_structured_operands_bit_identical(dps):
         y = lab.embed(lab.random_density(4, rng), (0, 2), dims)
         assert_same_product(x, y)
         assert_same_product(random_matrix(rng, 12, 12, "complex"), x)
-        v = lab.random_unit_vector(12, rng)
+        v = random_unit_vector(12, rng)
         assert assert_same_product(y, v).cols == 1
         zero_row = random_matrix(rng, 4, 4, "complex")
         for k in range(4):
@@ -297,7 +301,7 @@ def test_eighe_calls_per_function(monkeypatch):
             lambda: lab.modular_implementation_residual(der, t),
         "connes_cocycle": lambda: ci.connes_cocycle(psi, psi0, t),
         "spatial_cocycle_factorization_residual":
-            lambda: lab.spatial_cocycle_factorization_residual(
+            lambda: spatial_cocycle_factorization_residual(
                 rho_a, rho1, rho3, dims, (0, 1), t),
         "cocycle_identity_residual":
             lambda: lab.cocycle_identity_residual(psi, psi0, t, s),
@@ -431,7 +435,7 @@ def test_cocycle_factorization_on_ambient():
     rho_phi = lab.random_density(2, rng)
     psi = lab.random_density(3, rng)
     psi0 = lab.random_density(3, rng)
-    res = lab.spatial_cocycle_factorization_residual(
+    res = spatial_cocycle_factorization_residual(
         rho_phi, psi, psi0, dims, (0,), mpf("0.9"))
     assert res < mpf("1e-16")
 
@@ -446,24 +450,24 @@ def test_weight_mass_zero_generator():
     nrm = sqrt(sum(abs(g[i]) ** 2 for i in range(4)))
     for i in range(4):
         g[i] /= nrm
-    state = lab.VectorState.make(g, (2, 2), (0,))
-    flow = lab.flow_from_legs((2, 2), [None, None])
+    state = VectorState.make(g, (2, 2), (0,))
+    flow = flow_from_legs((2, 2), [None, None])
     # Ad V(t) trivial = modular flow only for a tracial marginal; build one
     bell = matrix(4, 1)
     bell[0] = bell[3] = 1 / sqrt(mpf(2))
-    state = lab.VectorState.make(bell, (2, 2), (0,))
-    assert fabs(ci.weight_total_mass(flow, state) - 1) < mpf("1e-25")
+    state = VectorState.make(bell, (2, 2), (0,))
+    assert fabs(weight_total_mass(flow, state) - 1) < mpf("1e-25")
 
 
 def test_weight_mass_eigenvector():
     # K = alpha on leg 0 plus beta on leg 1 (scalar blocks): every vector is
     # an eigenvector with kappa0 = alpha + beta, and the mass is e^{-kappa0}
     alpha, beta = mpf("0.3"), mpf("-0.7")
-    flow = lab.flow_from_legs((2, 2), [alpha * lab.eye(2), beta * lab.eye(2)])
+    flow = flow_from_legs((2, 2), [alpha * lab.eye(2), beta * lab.eye(2)])
     bell = matrix(4, 1)
     bell[0] = bell[3] = 1 / sqrt(mpf(2))
-    state = lab.VectorState.make(bell, (2, 2), (0,))
-    mass = ci.weight_total_mass(flow, state)
+    state = VectorState.make(bell, (2, 2), (0,))
+    mass = weight_total_mass(flow, state)
     assert fabs(mass - exp(-(alpha + beta))) < mpf("1e-25")
 
 
@@ -478,12 +482,12 @@ def test_weight_mass_square_setup_oracle():
     nrm = sqrt(sum(abs(g[i]) ** 2 for i in range(n * n)))
     for i in range(n * n):
         g[i] /= nrm
-    state = lab.VectorState.make(g, (n, n), (0,))
+    state = VectorState.make(g, (n, n), (0,))
     k2 = lab.random_density(n, rng)          # any Hermitian middle generator
     k2 = k2 + lab.dag(k2)
-    flow = lab.flow_from_legs((n, n), [lab.mat_log(state.density), k2])
-    mass = ci.weight_total_mass(flow, state)
-    oracle = lab.weight_mass_cocycle_oracle(flow, state)
+    flow = flow_from_legs((n, n), [lab.mat_log(state.density), k2])
+    mass = weight_total_mass(flow, state)
+    oracle = weight_mass_cocycle_oracle(flow, state)
     assert fabs(mass - oracle) < mpf("1e-24")
     # d(phi)/d(psi) = e^K pins the weight density to e^{-k2}: mass = Tr e^{-k2}
     solved = lab.trace(lab.spectrum(k2).fun(lambda x: exp(-x)))
@@ -498,11 +502,11 @@ def test_weight_mass_hypothesis_violation():
     nrm = sqrt(sum(abs(g[i]) ** 2 for i in range(4)))
     for i in range(4):
         g[i] /= nrm
-    state = lab.VectorState.make(g, (2, 2), (0,))
+    state = VectorState.make(g, (2, 2), (0,))
     wrong = lab.random_density(2, rng)
-    flow = lab.flow_from_legs((2, 2), [lab.mat_log(wrong), None])
+    flow = flow_from_legs((2, 2), [lab.mat_log(wrong), None])
     with pytest.raises(HypothesisViolationError):
-        ci.weight_total_mass(flow, state)
+        weight_total_mass(flow, state)
 
 
 # -------------------------------------------------------------------- index
@@ -602,7 +606,7 @@ def test_flow_preserves_leg_algebras():
     rho1 = lab.random_density(2, rng)
     rho3 = lab.random_density(2, rng)
     flow = ci.canonical_flow(triple, rho1, rho3)
-    v = flow.exp_factor(1j * mpf("0.6"))
+    v = exp_factor(flow, 1j * mpf("0.6"))
     vd = lab.dag(v)
     x = lab.random_density(2, rng)
     moved = v * lab.embed(x, (0,), triple.dims) * vd
@@ -749,4 +753,4 @@ def test_vector_state_not_separating():
     v = matrix(4, 1)
     v[0] = 1
     with pytest.raises(NotSeparatingError):
-        lab.VectorState.make(v, (2, 2), (0,))
+        VectorState.make(v, (2, 2), (0,))

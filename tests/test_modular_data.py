@@ -5,6 +5,7 @@ import pytest
 from mpmath import mp, mpf, sqrt, fabs
 
 import cftinv as ci
+from cftinv.linalg import matmul
 from cftinv.errors import InvalidModelError, FusionIntegralityError
 
 
@@ -58,10 +59,12 @@ def test_sl2z_relations(m):
     n = S.rows
     assert max_entry(S - S.T) < mpf("1e-25")
     eye = mp.eye(n)
-    assert max_entry(S * S.T - eye) < mpf("1e-25")
+    assert max_entry(matmul(S, S.T) - eye) < mpf("1e-25")
     T = mp.diag(list(md.T))
-    s2 = S * S
-    assert max_entry((S * T) ** 3 - s2) < mpf("1e-25")
+    s2 = matmul(S, S)
+    # the bits of mpmath's (S*T)**3, which forms (1*A)*(A*A) and an unused A^4
+    st = matmul(S, T)
+    assert max_entry(matmul(st, matmul(st, st)) - s2) < mpf("1e-25")
     # S^2 is the charge-conjugation permutation
     for i in range(n):
         for j in range(n):
