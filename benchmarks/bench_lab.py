@@ -18,12 +18,15 @@ import pytest
 from mpmath import mp, mpf
 
 import cftinv as ci
-from cftinv import lab
+from cftinv import lab, linalg, verify
 
 
 # The lab multiplied with mpmath's ``*`` before ``lab.matmul`` existed, so on
 # such a checkout the product case times ``*``: its "before" median.
 matmul = getattr(lab, "matmul", lambda a, b: a * b)
+# Likewise the trace of a product was the trace of the full product.
+trace_product = getattr(linalg, "trace_product",
+                        lambda a, b: lab.trace(matmul(a, b)))
 
 
 @pytest.fixture(autouse=True)
@@ -89,6 +92,27 @@ def test_matmul_36_complex(benchmark):
     a, b = lab.random_density(36, rng), lab.random_density(36, rng)
     out = benchmark.pedantic(matmul, (a, b), rounds=10, iterations=1)
     assert out.rows == out.cols == 36
+
+
+def test_trace_product_36_complex(benchmark):
+    """The trace of a 36 x 36 complex product, the shape of the KMS
+    partition function's trace at dims 3,4,3."""
+    rng = random.Random(5)
+    a, b = lab.random_density(36, rng), lab.random_density(36, rng)
+    out = benchmark.pedantic(trace_product, (a, b), rounds=10, iterations=1)
+    assert mp.re(out) > 0
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 4, 3)], ids=str)
+def test_battery_appendix_c(benchmark, dims):
+    """The whole matrix-lab battery, the body of ``cftinv lab``."""
+
+    def run():
+        b = verify.Battery()
+        verify.battery_appendix_c(b, dims, 7)
+        return b
+
+    assert benchmark.pedantic(run, rounds=3, iterations=1).all_pass
 
 
 @pytest.mark.parametrize("n", [12, 24, 36])

@@ -50,10 +50,10 @@ MAX_GRID_POINTS = 1000
 
 #: Largest --precision (and CFTINV_DPS), in digits.  Every libmp product and
 #: the eigensolver's iteration limit grow with it: at 500 digits
-#: ``lab --dims 4,4,4`` (the --dims limit) takes 54 s, ``lab --dims 3,4,3``
-#: 11 s and ``verify --all`` and ``fock`` under 8 s; at 1000 digits the two
-#: lab commands take 178 s and 39 s (fresh process, one run each, Xeon VM
-#: core).
+#: ``lab --dims 4,4,4`` (the --dims limit) takes 46 s, ``lab --dims 3,4,3``
+#: 9-15 s and ``verify --all`` 10 s; at 1000 digits the two lab commands
+#: take 157 s and 40 s (fresh process, one run each, four of
+#: ``lab --dims 3,4,3`` at 500, Xeon VM core).
 MAX_PRECISION = 500
 
 

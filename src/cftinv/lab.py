@@ -24,36 +24,54 @@ equation.  With this orientation the index product, the symmetric-split
 masses, and the derivative identity below all close numerically; reports
 carry the convention tag so the orientation is auditable.
 
-One eigendecomposition per density: :func:`spectrum` calls ``eighe`` once
-and applies the positivity/condition guard, and every f(A) is read off the
+One eigendecomposition per density: :func:`spectrum` calls ``eighe`` and
+applies the positivity/condition guard, and every f(A) is read off the
 resulting :class:`Spectrum` as Q diag(f(lambda)) Q*.  ``eighe`` is
-deterministic at a given precision, so reusing a spectrum gives the same
-bits, and the same report bytes, as decomposing A again.  A flow generator
-K = log rho is the spectrum of rho with log applied to its eigenvalues, so
-the canonical flow decomposes no generator and its weight masses are sums
-of exp(+-lambda) over those eigenvalues.  The oracle
-:func:`relative_entropy_oracle` and the flow hypothesis check decompose on
-their own, so they share no state with what they check.
+deterministic at a given precision and rounding, so reusing a spectrum
+gives the same bits, and the same report bytes, as decomposing A again.
+Inside a :func:`shared_spectra` block, :func:`spectrum` keys each result
+by (precision, rounding, shape, raw entries) and hands an equal input the
+spectrum already made; the guard still runs on every call, with that
+call's name and error.  ``verify.battery_appendix_c`` (the ``lab``
+command, and the lab part of ``verify``) runs inside one block, so across
+the battery each density is decomposed once: the oracle
+:func:`relative_entropy_oracle` shares the decompositions of
+:func:`araki_relative_entropy`, the flow hypothesis check those of
+:func:`canonical_flow`, and the cocycle checks those of
+:func:`connes_cocycle`.  The block ends with the battery, on return or
+exception, so nothing is kept from one command to the next; outside a
+block every call decomposes afresh.  Nothing writes to a spectrum's
+``evals`` (a tuple) or ``q``.  A flow generator K = log rho is the
+spectrum of rho with log applied to its eigenvalues, so the canonical flow
+decomposes no generator and its weight masses are sums of exp(+-lambda)
+over those eigenvalues.
 
-Linear algebra with mpmath's bits: ``eighe``, :func:`matmul` and the
-single-term kernels come from :mod:`cftinv.linalg`, whose docstring gives
-the arguments.  ``eighe`` is mpmath's Householder/QL routine ported onto
-raw libmp tuples: the same libmp call for each operator, in the same order,
-at the same precision and rounding, so E and Q have mpmath's bits and
-types.  ``matmul`` returns the bits of mpmath's ``a * b``.  Two products
-here have at most one nonzero term per entry, and form it alone, exactly,
-rounded once by ``from_man_exp`` as ``matmul`` rounds its exact sum:
+Linear algebra with mpmath's bits: ``eighe``, :func:`matmul`,
+``trace_product`` and the single-term and column-sparse kernels come from
+:mod:`cftinv.linalg`, whose docstring gives the arguments.  ``eighe`` is
+mpmath's Householder/QL routine ported onto raw libmp tuples: the same
+libmp call for each operator, in the same order, at the same precision and
+rounding, so E and Q have mpmath's bits and types.  ``matmul`` returns
+the bits of mpmath's ``a * b``.  Two products here have at most one
+nonzero term per entry, and form it alone, exactly, rounded once by
+``from_man_exp`` as ``matmul`` rounds its exact sum:
 :func:`leg_product` multiplies operators embedded on complementary legs,
 whose entry (i, j) is a[i_R, j_R] b[i_C, j_C], and ``Spectrum.fun`` scales
 the columns of Q by f(lambda) before its one dense product.  Their entries
 follow ``matmul``'s rules: ``fdot`` where it would fall back to it, an mpc
-iff the row or the column holds one, and zeros not stored.
+iff the row or the column holds one, and zeros not stored.  The residual
+:func:`modular_implementation_residual` forms u embed(x) with
+:func:`embedded_product`, which sums only the terms where the embedded
+factor is nonzero, and compares with :func:`max_abs_diff`, entry by entry
+as mpmath's matrix difference does, without building the difference.
+Where only a trace is read, ``trace_product`` forms the diagonal alone.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 from mpmath import mp, mpf, mpc, matrix, exp, log, sqrt, pi
@@ -61,7 +79,8 @@ from mpmath import mp, mpf, mpc, matrix, exp, log, sqrt, pi
 from .errors import (CocycleError, HypothesisViolationError,
                      IdentityViolationError, NotSeparatingError,
                      RankDeficiencyError)
-from .linalg import eighe, matmul, scale_columns, single_term_product
+from .linalg import (_raw, column_sparse_product, eighe, matmul,
+                     scale_columns, single_term_product, trace_product)
 
 CONDITION_GUARD = mpf("1e12")
 # Largest d1*d2*d3 the command line accepts: the dense operators on the full
@@ -100,6 +119,16 @@ def max_abs(a):
     return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
 
 
+def max_abs_diff(a, b):
+    """``max_abs(a - b)`` with its bits, without forming ``a - b``:
+    mpmath's matrix difference is ``a + b * (-1)``, whose entry (i, j) is
+    ``a_ij + (-1) * b_ij``."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ValueError("incompatible dimensions for subtraction")
+    return max(abs(a[i, j] + (-1) * b[i, j])
+               for i in range(a.rows) for j in range(a.cols))
+
+
 def trace(a):
     return sum(a[i, i] for i in range(a.rows))
 
@@ -107,9 +136,11 @@ def trace(a):
 @dataclass(frozen=True)
 class Spectrum:
     """A Hermitian matrix as Q diag(evals) Q*: decomposed once by
-    :func:`spectrum`, then every function of it is read off here."""
+    :func:`spectrum`, then every function of it is read off here.  A
+    spectrum may be shared (see :func:`shared_spectra`), so nothing writes
+    to ``evals`` or ``q``."""
 
-    evals: list
+    evals: tuple
     q: object
 
     def fun(self, f):
@@ -128,12 +159,45 @@ class Spectrum:
         return self.fun(lambda lam: exp(s * log(lam)))
 
 
-def spectrum(a, what=None, error=RankDeficiencyError) -> Spectrum:
-    """Eigendecomposition of Hermitian ``a``.  With ``what`` given, ``a`` must
-    be positive with condition number at most CONDITION_GUARD, else
-    ``error`` is raised naming ``what``."""
+#: Spectra by input while :func:`shared_spectra` is active, else None.
+_shared = None
+
+
+@contextmanager
+def shared_spectra():
+    """Within the block, :func:`spectrum` decomposes each distinct input
+    once and hands the same :class:`Spectrum` to every later call with an
+    equal input at the same precision and rounding.  The spectra are
+    dropped when the outermost block exits, normally or by an exception."""
+    global _shared
+    outer = _shared
+    if outer is None:
+        _shared = {}
+    try:
+        yield
+    finally:
+        _shared = outer
+
+
+def _decompose(a) -> Spectrum:
     e, q = eighe(a)
-    out = Spectrum([e[i] for i in range(len(e))], q)
+    return Spectrum(tuple(e[i] for i in range(len(e))), q)
+
+
+def spectrum(a, what=None, error=RankDeficiencyError) -> Spectrum:
+    """Eigendecomposition of Hermitian ``a``, shared within
+    :func:`shared_spectra`.  With ``what`` given, ``a`` must be positive
+    with condition number at most CONDITION_GUARD, else ``error`` is raised
+    naming ``what``; the guard runs on every call."""
+    if _shared is None:
+        out = _decompose(a)
+    else:
+        key = (*a.ctx._prec_rounding, a.rows, a.cols,
+               tuple(_raw(a[i, j]) for i in range(a.rows)
+                     for j in range(a.cols)))
+        out = _shared.get(key)
+        if out is None:
+            out = _shared[key] = _decompose(a)
     if what is not None:
         lo, hi = min(out.evals), max(out.evals)
         if lo <= 0 or hi / lo > CONDITION_GUARD:
@@ -185,6 +249,22 @@ def embed(op, legs, dims):
             if c_of[i] == c_of[j]:
                 out[i, j] = op[r_of[i], r_of[j]]
     return out
+
+
+def embedded_product(a, x, legs, dims):
+    """``a * embed(x, legs, dims)`` with :func:`matmul`'s bits, summing only
+    the nonzero terms: column j of the embedded factor holds
+    x[k_R, j_R] at the rows k with k_C = j_C (R the legs, C the rest)."""
+    legs = tuple(legs)
+    r_of = _leg_index(dims, legs)
+    c_of = _leg_index(dims, _complement(dims, legs))
+    blocks = {}
+    for k, c in enumerate(c_of):
+        blocks.setdefault(c, []).append(k)
+    supports = [tuple(blocks[c]) for c in range(len(blocks))]
+    cols = [[x[r_of[k], r_of[j]] for k in supports[c]]
+            for j, c in enumerate(c_of)]
+    return column_sparse_product(a, cols, supports, c_of)
 
 
 def leg_product(a, b, legs, dims):
@@ -278,8 +358,8 @@ def canonical_flow(triple: FiniteFactorTriple, rho1, rho3) -> FlowGenerator:
     sp1, sp3 = spectrum(rho1, "rho1"), spectrum(rho3, "rho3")
     return FlowGenerator(
         dims=triple.dims, const=mpf(0),
-        terms=(replace(sp1, evals=[log(x) for x in sp1.evals]), None,
-               replace(sp3, evals=[-log(x) for x in sp3.evals])))
+        terms=(replace(sp1, evals=tuple(log(x) for x in sp1.evals)), None,
+               replace(sp3, evals=tuple(-log(x) for x in sp3.evals))))
 
 
 # -------------------------------------------------------- spatial derivative
@@ -345,13 +425,13 @@ def modular_implementation_residual(der: SpatialDerivative, t, x=None, y=None):
         y = random_density(math.prod(dims[l] for l in comp), rng)
     u = der.power_it(t)
     ui = der.power_it(-t)
-    lhs1 = matmul(matmul(u, embed(x, legs, dims)), ui)
+    lhs1 = matmul(embedded_product(u, x, legs, dims), ui)
     s1 = der.spec_phi.pow(1j * mpf(t))
     rhs1 = embed(matmul(matmul(s1, x), dag(s1)), legs, dims)
-    lhs2 = matmul(matmul(ui, embed(y, comp, dims)), u)
+    lhs2 = matmul(embedded_product(ui, y, comp, dims), u)
     s2 = der.spec_psi.pow(1j * mpf(t))
     rhs2 = embed(matmul(matmul(s2, y), dag(s2)), comp, dims)
-    return max_abs(lhs1 - rhs1), max_abs(lhs2 - rhs2)
+    return max_abs_diff(lhs1, rhs1), max_abs_diff(lhs2, rhs2)
 
 
 # ------------------------------------------------------------------ cocycles
@@ -384,7 +464,7 @@ def connes_cocycle(psi, psi0, t, membership_tol=mpf("1e-18")) -> CocycleResult:
     memb = mpf(0)
     for _ in range(2):
         x = embed(random_density(n, rng), (0,), dims)
-        memb = max(memb, max_abs(matmul(u_full, x) - matmul(x, u_full)))
+        memb = max(memb, max_abs_diff(matmul(u_full, x), matmul(x, u_full)))
     if memb > membership_tol:
         raise CocycleError(f"cocycle leaves the factor: residual {mp.nstr(memb, 4)}")
     # extract the second-leg factor from u_full = 1 (x) u
@@ -392,7 +472,7 @@ def connes_cocycle(psi, psi0, t, membership_tol=mpf("1e-18")) -> CocycleResult:
     for k in range(n):
         for l in range(n):
             u[k, l] = u_full[k, l]
-    uni = max_abs(matmul(u, dag(u)) - eye(n))
+    uni = max_abs_diff(matmul(u, dag(u)), eye(n))
     return CocycleResult(u=u, membership_residual=memb, unitarity_residual=uni)
 
 
@@ -414,7 +494,7 @@ def cocycle_identity_residual(psi, psi0, t, s):
     us = _cocycle(sp, sp0, s)
     uts = _cocycle(sp, sp0, t + s)
     w = sp0.pow(1j * mpf(t))
-    return max_abs(uts - matmul(ut, matmul(matmul(w, us), dag(w))))
+    return max_abs_diff(uts, matmul(ut, matmul(matmul(w, us), dag(w))))
 
 
 def cocycle_chain_residual(psi, psi0, psi1, t):
@@ -424,7 +504,7 @@ def cocycle_chain_residual(psi, psi0, psi1, t):
     a = _cocycle(sp, sp0, t)
     b = _cocycle(sp0, sp1, t)
     c = _cocycle(sp, sp1, t)
-    return max_abs(matmul(a, b) - c)
+    return max_abs_diff(matmul(a, b), c)
 
 
 # ------------------------------------------------------------ weight masses
@@ -437,7 +517,7 @@ def _flow_matches_state(flow: FlowGenerator, legs, rho, sign=1,
     diff = k - sign * mat_log(rho, "state")
     n = diff.rows
     mean = trace(diff) / n
-    resid = max_abs(diff - mean * eye(n))
+    resid = max_abs_diff(diff, mean * eye(n))
     if resid > tol:
         raise HypothesisViolationError(
             f"flow does not implement the modular group on legs {legs}: "
@@ -477,11 +557,11 @@ def index_product(triple: FiniteFactorTriple, rho1, rho3,
         return mp.fsum(exp(s * lam) for lam in sp.evals)
 
     # e^K = sigma_12 (x) rho3^{-1}: lambda3 scales the third factor onto rho3^{-1}
-    lam3 = mp.re(trace(matmul(s3.fun(exp), rho3))) / d3 \
+    lam3 = mp.re(trace_product(s3.fun(exp), rho3)) / d3 \
         if s3 is not None else mpf(1)
     mass1 = e * lam3 * tr_exp(s1, 1, d1) * tr_exp(s2, 1, d2)
     # e^{-K} = rho1^{-1} (x) sigma_23
-    lam1 = mp.re(trace(matmul(s1.fun(lambda x: exp(-x)), rho1))) / d1 \
+    lam1 = mp.re(trace_product(s1.fun(lambda x: exp(-x)), rho1)) / d1 \
         if s1 is not None else mpf(1)
     mass2 = (1 / e) * lam1 * tr_exp(s2, -1, d2) * tr_exp(s3, -1, d3)
     product = mass1 * mass2
@@ -500,8 +580,8 @@ def pimsner_popa_entropy(triple: FiniteFactorTriple):
 
 def relative_entropy_oracle(rho1, rho2):
     """Tr rho1 (log rho1 - log rho2), the density-matrix formula."""
-    return mp.re(trace(matmul(rho1, mat_log(rho1, "rho1")
-                              - mat_log(rho2, "rho2"))))
+    return mp.re(trace_product(rho1, mat_log(rho1, "rho1")
+                               - mat_log(rho2, "rho2")))
 
 
 def araki_relative_entropy(rho1, rho2):
@@ -581,7 +661,7 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     for a in range(d1):
         for b in range(d1):
             tr2[a, b] = sum(w[a * d2 + k, b * d2 + k] for k in range(d2))
-    if max_abs(tr2 - rho1) > mpf("1e-20"):
+    if max_abs_diff(tr2, rho1) > mpf("1e-20"):
         raise HypothesisViolationError(
             "state on M1 does not restrict to rho1 on N1")
     sp_w = spectrum(w, "state")
@@ -592,7 +672,7 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     def z(t):
         left = sp_sigma.pow(-mpf(t))
         right = sp_sigma.pow(mpf(t))
-        val = trace(matmul(matmul(matmul(xi, left), xi), right))
+        val = trace_product(matmul(matmul(xi, left), xi), right)
         return mp.re(val) * exp(mpf(t) * log(mpf(d2)))
 
     z1 = z(1)
@@ -636,4 +716,4 @@ def reconstruction_flow_residual(triple: FiniteFactorTriple, rho1, t=mpf("0.7"))
     lhs = matmul(matmul(u, x), dag(u))   # the scalar part of K cancels in Ad
     s = mat_pow(rho1, 1j * mpf(t), "rho1")
     rhs = kron(matmul(matmul(s, a), dag(s)), eye(d2))
-    return max_abs(lhs - rhs)
+    return max_abs_diff(lhs, rhs)

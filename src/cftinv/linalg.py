@@ -17,9 +17,28 @@ Mantissas are odd, so a product's raw exponent is the sum of its factors';
 an entry whose nonzero products' exponents span more than 2 prec bits is
 handed to ``fdot`` itself, as is every entry of a row or column holding an
 inf, a nan, a value that is not an mpf or mpc, or exponents spread over
-more than 8 prec bits.  An entry is an mpc exactly when row i of ``a`` or
-column j of ``b`` holds an mpc, which is ``fdot``'s rule, and zeros are not
-stored, as in ``matrix.__setitem__``.
+more than 8 prec bits.  The span test reads each term's least and greatest
+exponent, stored once per row and column when the line is packed.  An entry
+is an mpc exactly when row i of ``a`` or column j of ``b`` holds an mpc,
+which is ``fdot``'s rule, and zeros are not stored, as in
+``matrix.__setitem__``.
+
+Three exact dot products for a complex entry.  With x_k = r_k + i s_k and
+y_k = u_k + i v_k as exact ints, the real part is sum r u - sum s v and the
+imaginary part sum (r + s)(u + v) - sum r u - sum s v, so three dot
+products replace four; the sums r + s and u + v are formed once per line.
+The parts are the same exact ints either way, so the rounded entry is too.
+
+Diagonal only.  :func:`trace_product` is the trace of ``matmul(a, b)``:
+each (a b)[i, i] is formed by ``matmul``'s per-entry code from row i and
+column i alone, a zero is the context's zero as a matrix reads it back, and
+the entries are added in ``sum``'s order, as ``lab.trace`` adds them.
+
+Column-sparse products.  When column j of ``b`` is zero outside a known set
+of rows, :func:`column_sparse_product` sums only those terms of each entry.
+The terms left out are exactly zero, so the exact int sum is unchanged;
+row i of ``a`` is packed in full, so the common exponent, the span test
+and the mpc rule are ``matmul``'s, and ``fdot`` gets the full lines.
 
 Single-term products.  When entry (i, j) of ``a * b`` has at most one
 nonzero term a_ik b_kj, :func:`single_term_product` forms that term alone:
@@ -48,7 +67,7 @@ mpmath's bits and type.
 
 from __future__ import annotations
 
-from operator import mul
+from operator import add, mul
 
 from mpmath.libmp import (finf, fninf, fone, from_man_exp, fzero, mpc_abs,
                           mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
@@ -59,6 +78,7 @@ from mpmath.libmp import (finf, fninf, fone, from_man_exp, fzero, mpc_abs,
                           mpf_sqrt, mpf_sub)
 
 _ZERO_LINE = object()
+_FDOT = object()
 _MPC_ZERO = (fzero, fzero)
 
 
@@ -98,33 +118,83 @@ def _scan(xs, ctx, cap):
 
 def _pack(xs, ctx, cap):
     """A line of :func:`_scan` as signed ints over one exponent, for
-    :func:`matmul`: ``(lo, hi, re, im, parts)`` with
-    x_k = (re[k] + i im[k]) 2^lo and ``im`` None when no entry is an mpc."""
+    :func:`matmul`: ``(lo, hi, re, im, s, ext)`` with
+    x_k = (re[k] + i im[k]) 2^lo, ``im`` and ``s`` None when no entry is an
+    mpc and otherwise s[k] = re[k] + im[k], and ext[k] the least and
+    greatest raw exponent of x_k's nonzero parts (None when x_k is 0)."""
     scan = _scan(xs, ctx, cap)
     if scan is None or scan is _ZERO_LINE:
         return scan
     lo, hi, cplx, parts = scan
     re = [(-man if sign else man) << (e - lo) if man else 0
           for (sign, man, e, bc), _ in parts]
-    im = None
+    ext = []
+    for p in parts:
+        es = [e for sign, man, e, bc in p if man]
+        ext.append((min(es), max(es)) if es else None)
+    im = s = None
     if cplx:
         im = [(-man if sign else man) << (e - lo) if man else 0
               for _, (sign, man, e, bc) in parts]
-    return lo, hi, re, im, parts
+        s = list(map(add, re, im))
+    return lo, hi, re, im, s, ext
 
 
-def _product_span(parts_a, parts_b):
+def _span(ext_a, ext_b):
     """Spread of the raw exponents of the nonzero products sum_k a_k b_k,
-    None when every product is zero."""
-    lo = hi = None
-    for pa, pb in zip(parts_a, parts_b):
-        ea = [t[2] for t in pa if t[1]]
-        eb = [t[2] for t in pb if t[1]]
-        if ea and eb:
-            k_lo, k_hi = min(ea) + min(eb), max(ea) + max(eb)
-            lo = k_lo if lo is None else min(lo, k_lo)
-            hi = k_hi if hi is None else max(hi, k_hi)
-    return None if lo is None else hi - lo
+    from the per-term extents of :func:`_pack`; None when every product is
+    zero."""
+    ks = [(x[0] + y[0], x[1] + y[1])
+          for x, y in zip(ext_a, ext_b) if x and y]
+    if not ks:
+        return None
+    return max(k[1] for k in ks) - min(k[0] for k in ks)
+
+
+def _dot(pa, pb, limit, prec, rnd):
+    """sum_k a_k b_k of two packed lines, rounded once: a raw mpf or mpc,
+    None when it is exactly zero, or ``_FDOT`` when the products' exponents
+    span more than ``limit`` bits."""
+    lo_a, hi_a, re_a, im_a, s_a, ext_a = pa
+    lo_b, hi_b, re_b, im_b, s_b, ext_b = pb
+    if hi_a + hi_b - lo_a - lo_b > limit:
+        span = _span(ext_a, ext_b)
+        if span is None:
+            return None
+        if span > limit:
+            return _FDOT
+    e = lo_a + lo_b
+    re = sum(map(mul, re_a, re_b))
+    if im_a is None and im_b is None:
+        return from_man_exp(re, e, prec, rnd) if re else None
+    if im_b is None:
+        im = sum(map(mul, im_a, re_b))
+    elif im_a is None:
+        im = sum(map(mul, re_a, im_b))
+    else:
+        ii = sum(map(mul, im_a, im_b))
+        im = sum(map(mul, s_a, s_b)) - re - ii
+        re -= ii
+    if re or im:
+        return from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)
+    return None
+
+
+def _entry(ctx, pa, pb, lines):
+    """Entry sum_k a_k b_k of :func:`matmul` for the packed lines ``pa``
+    and ``pb``, None when ``matmul`` stores nothing; ``lines()`` returns
+    the two lines as entries, for the cases handed to ``fdot``."""
+    if pa is None or pb is None:
+        return ctx.fdot(*lines())
+    if pa is _ZERO_LINE or pb is _ZERO_LINE:
+        return None
+    prec, rnd = ctx._prec_rounding
+    v = _dot(pa, pb, 2 * prec, prec, rnd)   # mpf_sum's max_extra_prec
+    if v is _FDOT:
+        return ctx.fdot(*lines())
+    if v is None:
+        return None
+    return ctx.make_mpf(v) if len(v) == 4 else ctx.make_mpc(v)
 
 
 def matmul(a, b):
@@ -134,45 +204,74 @@ def matmul(a, b):
     if a.cols != b.rows:
         raise ValueError("dimensions not compatible for multiplication")
     ctx = a.ctx
-    prec, rnd = ctx._prec_rounding
-    limit = 2 * prec                   # mpf_sum's max_extra_prec
+    cap = 8 * ctx.prec
     b_cols = [[b[k, j] for k in range(b.rows)] for j in range(b.cols)]
-    pb_all = [_pack(c, ctx, 8 * prec) for c in b_cols]
+    pb_all = [_pack(c, ctx, cap) for c in b_cols]
     out = ctx.matrix(a.rows, b.cols)
     for i in range(a.rows):
         a_row = [a[i, k] for k in range(a.cols)]
-        pa = _pack(a_row, ctx, 8 * prec)
+        pa = _pack(a_row, ctx, cap)
         for j, pb in enumerate(pb_all):
-            if pa is None or pb is None:
-                out[i, j] = ctx.fdot(a_row, b_cols[j])
-                continue
-            if pa is _ZERO_LINE or pb is _ZERO_LINE:
-                continue
-            lo_a, hi_a, re_a, im_a, parts_a = pa
-            lo_b, hi_b, re_b, im_b, parts_b = pb
-            if hi_a + hi_b - lo_a - lo_b > limit:
-                span = _product_span(parts_a, parts_b)
-                if span is None:
-                    continue
-                if span > limit:
-                    out[i, j] = ctx.fdot(a_row, b_cols[j])
-                    continue
-            e = lo_a + lo_b
-            re = sum(map(mul, re_a, re_b))
-            if im_a is None and im_b is None:
-                if re:
-                    out[i, j] = ctx.make_mpf(from_man_exp(re, e, prec, rnd))
-                continue
-            im = 0
-            if im_b is not None:
-                im += sum(map(mul, re_a, im_b))
-            if im_a is not None:
-                im += sum(map(mul, im_a, re_b))
-            if im_a is not None and im_b is not None:
-                re -= sum(map(mul, im_a, im_b))
-            if re or im:
-                out[i, j] = ctx.make_mpc((from_man_exp(re, e, prec, rnd),
-                                          from_man_exp(im, e, prec, rnd)))
+            v = _entry(ctx, pa, pb, lambda: (a_row, b_cols[j]))
+            if v is not None:
+                out[i, j] = v
+    return out
+
+
+def trace_product(a, b):
+    """The trace of ``matmul(a, b)`` with its bits, forming only the
+    diagonal: each (a b)[i, i] as ``matmul`` forms it, a zero read back as
+    the context's zero as from a matrix, summed in ``sum``'s order."""
+    if a.cols != b.rows or a.rows != b.cols:
+        raise ValueError("dimensions not compatible for a trace of a product")
+    ctx = a.ctx
+    cap = 8 * ctx.prec
+    diag = []
+    for i in range(a.rows):
+        row = [a[i, k] for k in range(a.cols)]
+        col = [b[k, i] for k in range(b.rows)]
+        v = _entry(ctx, _pack(row, ctx, cap), _pack(col, ctx, cap),
+                   lambda: (row, col))
+        diag.append(v if v else ctx.zero)
+    return sum(diag)
+
+
+def column_sparse_product(a, cols, supports, support_of):
+    """``a * b`` with :func:`matmul`'s bits for a ``b`` whose column j is
+    zero outside the rows ``supports[support_of[j]]`` (a tuple of row
+    indices), where it holds ``cols[j]`` in that order.
+
+    Entry (i, j) sums only those terms.  Row i of ``a`` is packed in full,
+    so its lo, hi and mpc flag, hence the exponent, the span test and the
+    type, are ``matmul``'s; the zeros left out add nothing to the exact
+    sum, and ``fdot`` gets the full lines."""
+    ctx = a.ctx
+    cap = 8 * ctx.prec
+    n = a.cols
+    p_cols = [_pack(c, ctx, cap) for c in cols]
+
+    def full_col(j):
+        col = [ctx.zero] * n
+        for k, x in zip(supports[support_of[j]], cols[j]):
+            col[k] = x
+        return col
+
+    out = ctx.matrix(a.rows, len(cols))
+    for i in range(a.rows):
+        a_row = [a[i, k] for k in range(n)]
+        pa = _pack(a_row, ctx, cap)
+        subs = [pa] * len(supports)
+        if pa is not None and pa is not _ZERO_LINE:
+            lo, hi, re, im, s, ext = pa
+            subs = [(lo, hi, [re[k] for k in rows],
+                     None if im is None else [im[k] for k in rows],
+                     None if s is None else [s[k] for k in rows],
+                     [ext[k] for k in rows]) for rows in supports]
+        for j, pb in enumerate(p_cols):
+            v = _entry(ctx, subs[support_of[j]], pb,
+                       lambda: (a_row, full_col(j)))
+            if v is not None:
+                out[i, j] = v
     return out
 
 

@@ -28,6 +28,11 @@ that cannot change a bit, must reproduce its sums bit for bit.
 loops of the exact coefficient build; the library's column-sum build must
 reproduce their integers exactly.
 
+``product_span`` is the exponent spread of a product's nonzero terms,
+rebuilt from the raw parts of both lines for every entry; ``cftinv.linalg``
+reads it off per-term extents packed once per row and column, and must
+agree with it.
+
 ``VectorState`` and ``weight_total_mass`` check the lab from another side:
 a unit vector in H1 (x) H2, its reduced densities, and the total mass
 (e^{-K} xi, xi) of the weight a flow defines on the commutant, against the
@@ -135,6 +140,21 @@ def evaluate_full_sum(series, t, shifted=True, tol=None):
             required_cutoff=required_cutoff(t, tol, h, c24, shifted))
     rounding = abs(value) * mpf(2) ** (4 - mp.prec) * (series.cutoff + 2)
     return TraceValue(value=value, error=tail + rounding)
+
+
+def product_span(parts_a, parts_b):
+    """Spread of the raw exponents of the nonzero products sum_k a_k b_k,
+    for two lines of raw (real, imaginary) parts; None when every product
+    is zero."""
+    lo = hi = None
+    for pa, pb in zip(parts_a, parts_b):
+        ea = [t[2] for t in pa if t[1]]
+        eb = [t[2] for t in pb if t[1]]
+        if ea and eb:
+            k_lo, k_hi = min(ea) + min(eb), max(ea) + max(eb)
+            lo = k_lo if lo is None else min(lo, k_lo)
+            hi = k_hi if hi is None else max(hi, k_hi)
+    return None if lo is None else hi - lo
 
 
 def herm_fun_fresh(a, f):

@@ -127,6 +127,12 @@ REPORT_DIGESTS = {
     ("lab", "--dims", "2,3,2", "--seed", "7", "--format", "json"):
         (0, 4680,
          "fb5b6f0c30549ee61a3c14b5b911b660575827b8f54b70047dbf6a1010423f07"),
+    ("lab", "--dims", "3,4,3", "--seed", "7", "--format", "json"):
+        (0, 4686,
+         "d7e09e986378ac81e1dcb2c330d2ea328d974acfd1b0f145cf420ba334363371"),
+    ("lab", "--dims", "2,3,4", "--seed", "7", "--format", "json"):
+        (0, 3646,
+         "8aba8696dd73d6ae3025ee2faa4080c97d5ee2046d92e273993097ad0d806afb"),
 }
 
 

@@ -5,12 +5,12 @@ import pytest
 from mpmath import mp, mpf, mpc, fabs, log, exp, sqrt, matrix
 
 import cftinv as ci
-from cftinv import lab
+from cftinv import lab, linalg
 from cftinv.errors import (HypothesisViolationError, IdentityViolationError,
                            NotSeparatingError, RankDeficiencyError)
 from oracles import (VectorState, cocycle_direct_fresh, exp_factor,
                      flow_from_legs, index_product_fresh, power_it_fresh,
-                     random_unit_vector, reduced_density,
+                     product_span, random_unit_vector, reduced_density,
                      spatial_cocycle_factorization_residual,
                      weight_mass_cocycle_oracle, weight_total_mass)
 
@@ -189,6 +189,114 @@ def test_matmul_wide_exponents_fall_back_to_fdot(dps, monkeypatch):
         assert calls[0] > 0
 
 
+@DPS
+def test_matmul_three_products_bit_identical(dps, monkeypatch):
+    """The complex part from three exact dot products, (re_a + im_a)(re_b +
+    im_b) minus the two others, has mpmath's bits: complex times complex,
+    mixed lines, and rows whose spread passes 2 prec so that only some of
+    their entries, those meeting both wide terms, go to fdot."""
+    rng = rnd(19)
+    with mp.workdps(dps):
+        for kinds in [("complex", "complex"), ("mixed", "complex"),
+                      ("complex", "mixed"), ("mixed", "mixed")]:
+            assert_same_product(random_matrix(rng, 7, 9, kinds[0]),
+                                random_matrix(rng, 9, 6, kinds[1]))
+        wide = mpf(2) ** (3 * mp.prec)
+        a = random_matrix(rng, 4, 5, "complex")
+        a[0, 0], a[1, 4] = a[0, 0] * wide, mpc(1 / wide, wide)
+        b = random_matrix(rng, 5, 4, "complex")
+        for k in (1, 2, 3):
+            b[k, 0] = 0                  # column 0 meets only terms 0 and 4
+        b[0, 1] = b[4, 1] = b[4, 2] = 0  # column 1 misses both wide terms
+        b[0, 3] = 0                      # column 3 misses term 0 only
+        want = a * b
+        calls = [0]
+        real = mp.fdot
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "fdot", counted)
+        assert_same_entries(lab.matmul(a, b), want)
+        assert 0 < calls[0] < a.rows * b.cols
+
+
+def test_precomputed_span_matches_oracle():
+    """The span read off ``_pack``'s per-term extents equals the span
+    rebuilt from the raw parts of both lines."""
+    rng = rnd(20)
+    with mp.workdps(30):
+        cap = 8 * mp.prec
+        wide = mpf(2) ** (3 * mp.prec // 2)
+        for trial in range(60):
+            kind_a = ("real", "complex", "mixed")[trial % 3]
+            kind_b = ("real", "complex", "mixed")[trial // 3 % 3]
+            a = random_matrix(rng, 1, 6, kind_a)
+            b = random_matrix(rng, 6, 1, kind_b)
+            for k in range(6):
+                r = rng.random()
+                if r < 0.2:
+                    a[0, k] = a[0, k] * wide
+                elif r < 0.3:
+                    b[k, 0] = mpc(0, 1) / wide
+                elif r < 0.4:
+                    a[0, k] = mpc(0, mpf(rng.gauss(0, 1)))
+            row = [a[0, k] for k in range(6)]
+            col = [b[k, 0] for k in range(6)]
+            pa = linalg._pack(row, mp, cap)
+            pb = linalg._pack(col, mp, cap)
+            if any(p is None or p is linalg._ZERO_LINE for p in (pa, pb)):
+                continue
+            want = product_span(linalg._scan(row, mp, cap)[3],
+                                linalg._scan(col, mp, cap)[3])
+            assert linalg._span(pa[5], pb[5]) == want
+        assert linalg._span([None, (0, 3)], [(1, 1), None]) is None
+        zero, one = (mpf(0)._mpf_,) * 2, (mpf(1)._mpf_,) * 2
+        assert product_span([zero, one], [one, zero]) is None
+
+
+@pytest.mark.parametrize("dps", [30, 50])
+def test_trace_product_matches_trace_of_matmul(dps, monkeypatch):
+    """``trace_product`` has the bits and type of ``trace(matmul(a, b))``:
+    dense, real, mixed, a zero diagonal entry, an all-zero diagonal, a
+    wide term handed to fdot and a cancellation fdot makes exact."""
+    rng = rnd(21)
+    with mp.workdps(dps):
+        pairs = [(random_matrix(rng, 6, 6, k1), random_matrix(rng, 6, 6, k2))
+                 for k1, k2 in [("complex", "complex"), ("real", "real"),
+                                ("mixed", "real"), ("real", "mixed")]]
+        a = random_matrix(rng, 4, 3, "complex")
+        b = random_matrix(rng, 3, 4, "mixed")
+        for k in range(3):
+            a[2, k] = 0                          # (ab)[2, 2] = 0
+        pairs.append((a, b))
+        pairs.append((matrix(3, 3), random_matrix(rng, 3, 3, "complex")))
+        wide = random_matrix(rng, 4, 4, "complex")
+        wide[1, 1] = wide[1, 1] * mpf(2) ** (3 * mp.prec)
+        pairs.append((wide, random_matrix(rng, 4, 4, "complex")))
+        big = mpf(2) ** (4 * mp.prec)
+        cancel = matrix([[1 / big, big, big], [0, 0, 0], [0, 0, 1]])
+        pairs.append((cancel, matrix([[1, 0, 0], [1, 0, 0], [-1, 0, 2]])))
+        # fdot returns an mpc zero here, which a matrix reads back as mpf 0
+        pairs.append((cancel, matrix([[1j, 0, 0], [1j, 0, 0], [-1j, 0, 2]])))
+        wants = [lab.trace(lab.matmul(x, y)) for x, y in pairs]
+        calls = [0]
+        real = mp.fdot
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(mp, "fdot", counted)
+        for (x, y), want in zip(pairs, wants):
+            assert _raw(linalg.trace_product(x, y)) == _raw(want)
+        assert calls[0] > 0
+        assert type(wants[-1]) is mpf and wants[-1] == 2
+    with pytest.raises(ValueError):
+        linalg.trace_product(matrix(2, 3), matrix(3, 3))
+
+
 LEG_SUBSETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0), (0, 1, 2)]
 
 
@@ -233,6 +341,177 @@ def test_leg_product_wide_exponents_fall_back_to_fdot(monkeypatch):
     monkeypatch.setattr(mp, "fdot", counted)
     assert_same_entries(lab.leg_product(a, b, legs, dims), want)
     assert calls[0] > 0
+
+
+@pytest.mark.parametrize("dims", [(2, 3, 4), (3, 4, 3)], ids=str)
+def test_embedded_product_matches_dense_oracle(dims):
+    """``embedded_product`` has the bits and types of ``matmul`` with the
+    dense embedded factor, for every leg subset: mixed rows, a zero row of
+    each factor and a zero column of the embedded one."""
+    rng = rnd(22)
+    n = math.prod(dims)
+    for legs in LEG_SUBSETS:
+        nx = math.prod(dims[l] for l in legs)
+        a = random_matrix(rng, n, n, "mixed")
+        x = random_matrix(rng, nx, nx, "mixed" if nx > 1 else "complex")
+        for k in range(n):
+            a[n - 1, k] = 0
+        if nx > 1:
+            for k in range(nx):
+                x[0, k] = x[k, nx - 1] = 0
+        want = lab.matmul(a, lab.embed(x, legs, dims))
+        assert_same_entries(lab.embedded_product(a, x, legs, dims), want)
+
+
+def test_embedded_product_wide_exponents_fall_back_to_fdot(monkeypatch):
+    """A row whose spread passes 2 prec, one past 8 prec and an inf go to
+    fdot with the full lines, as in ``matmul``."""
+    rng = rnd(23)
+    dims, legs = (2, 3, 2), (0, 2)
+    a = random_matrix(rng, 12, 12, "complex")
+    x = random_matrix(rng, 4, 4, "mixed")
+    wide = mpf(2) ** (3 * mp.prec)
+    a[0, 0], a[0, 7] = a[0, 0] * wide, a[0, 7] / wide
+    a[3, 1], a[3, 2] = a[3, 1] * wide ** 3, a[3, 2] / wide ** 3
+    a[5, 4] = mp.inf
+    x[1, 2] = x[1, 2] * wide
+    # entry (8, 0) sums a[8, k] x[k_R, 0] over k = 0, 1, 6, 7: fdot lets the
+    # two wide terms cancel the small one, where the exact sum keeps it
+    for k in range(12):
+        a[8, k] = 0
+    a[8, 0], a[8, 1], a[8, 6] = 1 / wide, wide, wide
+    x[0, 0], x[1, 0], x[2, 0], x[3, 0] = 1, 1, -1, 0
+    want = lab.matmul(a, lab.embed(x, legs, dims))
+    assert want[8, 0] == 0
+    calls = [0]
+    real = mp.fdot
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(mp, "fdot", counted)
+    assert_same_entries(lab.embedded_product(a, x, legs, dims), want)
+    assert calls[0] > 0
+
+
+def test_max_abs_diff_matches_max_abs_of_difference():
+    """The fused residual has the bits of ``max_abs(a - b)``, also where
+    entries or whole matrices agree exactly."""
+    rng = rnd(24)
+    for k1, k2 in [("complex", "complex"), ("real", "real"),
+                   ("mixed", "real"), ("real", "complex")]:
+        a, b = random_matrix(rng, 5, 4, k1), random_matrix(rng, 5, 4, k2)
+        pairs = [(a, b), (a, a), (b, b.copy())]
+        c = a.copy()
+        c[2, 3] = c[2, 3] + 1
+        pairs.append((a, c))
+        d = b.copy()
+        d[0, 0] = mpc(d[0, 0], 0)                # equal value, other type
+        pairs.append((b, d))
+        for x, y in pairs:
+            assert _raw(lab.max_abs_diff(x, y)) == _raw(lab.max_abs(x - y))
+    assert lab.max_abs_diff(lab.eye(3), lab.eye(3)) == 0
+    with pytest.raises(ValueError):
+        lab.max_abs_diff(matrix(2, 3), matrix(3, 2))
+
+
+# ----------------------------------------------------------- shared spectra
+
+def _key(a):
+    """What makes two inputs decompose alike: precision, rounding, shape
+    and the raw entries."""
+    return (*mp._prec_rounding, a.rows, a.cols,
+            tuple(_raw(a[i, j]) for i in range(a.rows)
+                  for j in range(a.cols)))
+
+
+def test_spectrum_shared_only_inside_the_block():
+    rng = rnd(25)
+    rho = lab.random_density(3, rng)
+    assert lab.spectrum(rho) is not lab.spectrum(rho.copy())
+    with lab.shared_spectra():
+        sp = lab.spectrum(rho, "rho")
+        assert lab.spectrum(rho.copy()) is sp
+        with lab.shared_spectra():
+            assert lab.spectrum(rho) is sp
+        assert lab.spectrum(rho) is sp
+        with mp.workdps(40):
+            assert lab.spectrum(rho) is not sp
+        # the guard runs on every call, with that call's name and error
+        sing = mp.diag([mpf(1), mpf(0)])
+        lab.spectrum(sing)
+        with pytest.raises(NotSeparatingError, match="sing2"):
+            lab.spectrum(sing, "sing2", NotSeparatingError)
+        with pytest.raises(RankDeficiencyError, match="sing3"):
+            lab.spectrum(sing, "sing3")
+    assert lab._shared is None
+
+
+def test_battery_decomposes_each_input_once(monkeypatch):
+    """Within ``battery_appendix_c`` at 3,4,3 every eigendecomposition is
+    of an input not decomposed before, and no shared spectrum is changed
+    by the callers it is handed to."""
+    from cftinv import verify
+    keys = []
+    made = []
+    real = lab.eighe
+
+    def recorded(a):
+        keys.append(_key(a))
+        e, q = real(a)
+        made.append((e, q, [_raw(e[i]) for i in range(e.rows)],
+                     [_raw(q[i, j]) for i in range(q.rows)
+                      for j in range(q.cols)]))
+        return e, q
+
+    monkeypatch.setattr(lab, "eighe", recorded)
+    b = verify.Battery()
+    verify.battery_appendix_c(b, (3, 4, 3), 7)
+    assert b.all_pass
+    assert len(keys) == len(set(keys)) == 44
+    for e, q, raw_e, raw_q in made:
+        assert [_raw(e[i]) for i in range(e.rows)] == raw_e
+        assert [_raw(q[i, j]) for i in range(q.rows)
+                for j in range(q.cols)] == raw_q
+    assert lab._shared is None
+
+
+def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
+    from cftinv import verify
+    seen = []
+
+    def boom(*args, **kwargs):
+        seen.append(len(lab._shared))
+        raise RuntimeError("boom")
+
+    verify.battery_appendix_c(verify.Battery(), (2, 2, 2), 3)
+    assert lab._shared is None
+    monkeypatch.setattr(lab, "index_product", boom)
+    with pytest.raises(RuntimeError, match="boom"):
+        verify.battery_appendix_c(verify.Battery(), (2, 2, 2), 3)
+    assert seen and seen[0] > 0
+    assert lab._shared is None
+
+
+def test_repeated_lab_commands_decompose_alike(monkeypatch, capsys):
+    """Two identical ``lab`` commands in one process share nothing: each
+    makes the same decompositions and prints the same bytes."""
+    from cftinv.cli import main
+    calls = [0]
+    real = lab.eighe
+
+    def counted(a):
+        calls[0] += 1
+        return real(a)
+
+    monkeypatch.setattr(lab, "eighe", counted)
+    runs = []
+    for _ in range(2):
+        before = calls[0]
+        code = main(["lab", "--dims", "2,3,2", "--seed", "3"])
+        runs.append((code, calls[0] - before, capsys.readouterr().out))
+    assert runs[0] == runs[1] and runs[0][0] == 0 and runs[0][1] > 0
 
 
 @pytest.mark.parametrize("dps", [30, 50])
