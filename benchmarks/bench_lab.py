@@ -18,15 +18,12 @@ import pytest
 from mpmath import mp, mpf
 
 import cftinv as ci
-from cftinv import lab, linalg, verify
+from cftinv import lab, verify
 
 
 # The lab multiplied with mpmath's ``*`` before ``lab.matmul`` existed, so on
 # such a checkout the product case times ``*``: its "before" median.
 matmul = getattr(lab, "matmul", lambda a, b: a * b)
-# Likewise the trace of a product was the trace of the full product.
-trace_product = getattr(linalg, "trace_product",
-                        lambda a, b: lab.trace(matmul(a, b)))
 
 
 @pytest.fixture(autouse=True)
@@ -92,15 +89,6 @@ def test_matmul_36_complex(benchmark):
     a, b = lab.random_density(36, rng), lab.random_density(36, rng)
     out = benchmark.pedantic(matmul, (a, b), rounds=10, iterations=1)
     assert out.rows == out.cols == 36
-
-
-def test_trace_product_36_complex(benchmark):
-    """The trace of a 36 x 36 complex product, the shape of the KMS
-    partition function's trace at dims 3,4,3."""
-    rng = random.Random(5)
-    a, b = lab.random_density(36, rng), lab.random_density(36, rng)
-    out = benchmark.pedantic(trace_product, (a, b), rounds=10, iterations=1)
-    assert mp.re(out) > 0
 
 
 @pytest.mark.parametrize("dims", [(2, 3, 2), (3, 4, 3)], ids=str)

@@ -46,15 +46,15 @@ spectrum of rho with log applied to its eigenvalues, so the canonical flow
 decomposes no generator and its weight masses are sums of exp(+-lambda)
 over those eigenvalues.
 
-Linear algebra with mpmath's bits: ``eighe``, :func:`matmul`,
-``trace_product`` and the single-term and column-sparse kernels come from
-:mod:`cftinv.linalg`, whose docstring gives the arguments.  ``eighe`` is
-mpmath's Householder/QL routine ported onto raw libmp tuples: the same
-libmp call for each operator, in the same order, at the same precision and
-rounding, so E and Q have mpmath's bits and types.  ``matmul`` returns
-the bits of mpmath's ``a * b``.  Two products here have at most one
-nonzero term per entry, and form it alone, exactly, rounded once by
-``from_man_exp`` as ``matmul`` rounds its exact sum:
+Linear algebra with mpmath's bits: ``eighe``, :func:`matmul` and the
+single-term and column-sparse kernels come from :mod:`cftinv.linalg`,
+whose docstring gives the arguments.  ``eighe`` is mpmath's Householder/QL
+routine ported onto raw libmp tuples: the same libmp call for each
+operator, in the same order, at the same precision and rounding, so E and
+Q have mpmath's bits and types.  ``matmul`` returns the bits of mpmath's
+``a * b``.  Two products here have at most one nonzero term per entry, and
+form it alone, exactly, rounded once by ``from_man_exp`` as ``matmul``
+rounds its exact sum:
 :func:`leg_product` multiplies operators embedded on complementary legs,
 whose entry (i, j) is a[i_R, j_R] b[i_C, j_C], and ``Spectrum.fun`` scales
 the columns of Q by f(lambda) before its one dense product.  Their entries
@@ -64,7 +64,6 @@ iff the row or the column holds one, and zeros not stored.  The residual
 :func:`embedded_product`, which sums only the terms where the embedded
 factor is nonzero, and compares with :func:`max_abs_diff`, entry by entry
 as mpmath's matrix difference does, without building the difference.
-Where only a trace is read, ``trace_product`` forms the diagonal alone.
 """
 
 from __future__ import annotations
@@ -80,7 +79,7 @@ from .errors import (CocycleError, HypothesisViolationError,
                      IdentityViolationError, NotSeparatingError,
                      RankDeficiencyError)
 from .linalg import (_raw, column_sparse_product, eighe, matmul,
-                     scale_columns, single_term_product, trace_product)
+                     scale_columns, single_term_product)
 
 CONDITION_GUARD = mpf("1e12")
 # Largest d1*d2*d3 the command line accepts: the dense operators on the full
@@ -115,13 +114,10 @@ def kron(a, b):
     return out
 
 
-def max_abs(a):
-    return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
-
-
 def max_abs_diff(a, b):
-    """``max_abs(a - b)`` with its bits, without forming ``a - b``:
-    mpmath's matrix difference is ``a + b * (-1)``, whose entry (i, j) is
+    """The largest |a_ij - b_ij| with the bits of the largest ``abs`` of an
+    entry of mpmath's ``a - b``, without forming ``a - b``: mpmath's matrix
+    difference is ``a + b * (-1)``, whose entry (i, j) is
     ``a_ij + (-1) * b_ij``."""
     if (a.rows, a.cols) != (b.rows, b.cols):
         raise ValueError("incompatible dimensions for subtraction")
@@ -557,11 +553,11 @@ def index_product(triple: FiniteFactorTriple, rho1, rho3,
         return mp.fsum(exp(s * lam) for lam in sp.evals)
 
     # e^K = sigma_12 (x) rho3^{-1}: lambda3 scales the third factor onto rho3^{-1}
-    lam3 = mp.re(trace_product(s3.fun(exp), rho3)) / d3 \
+    lam3 = mp.re(trace(matmul(s3.fun(exp), rho3))) / d3 \
         if s3 is not None else mpf(1)
     mass1 = e * lam3 * tr_exp(s1, 1, d1) * tr_exp(s2, 1, d2)
     # e^{-K} = rho1^{-1} (x) sigma_23
-    lam1 = mp.re(trace_product(s1.fun(lambda x: exp(-x)), rho1)) / d1 \
+    lam1 = mp.re(trace(matmul(s1.fun(lambda x: exp(-x)), rho1))) / d1 \
         if s1 is not None else mpf(1)
     mass2 = (1 / e) * lam1 * tr_exp(s2, -1, d2) * tr_exp(s3, -1, d3)
     product = mass1 * mass2
@@ -580,8 +576,8 @@ def pimsner_popa_entropy(triple: FiniteFactorTriple):
 
 def relative_entropy_oracle(rho1, rho2):
     """Tr rho1 (log rho1 - log rho2), the density-matrix formula."""
-    return mp.re(trace_product(rho1, mat_log(rho1, "rho1")
-                               - mat_log(rho2, "rho2")))
+    return mp.re(trace(matmul(rho1, mat_log(rho1, "rho1")
+                              - mat_log(rho2, "rho2"))))
 
 
 def araki_relative_entropy(rho1, rho2):
@@ -672,7 +668,7 @@ def entropy_derivative_identity(triple: FiniteFactorTriple, rho1,
     def z(t):
         left = sp_sigma.pow(-mpf(t))
         right = sp_sigma.pow(mpf(t))
-        val = trace_product(matmul(matmul(xi, left), xi), right)
+        val = trace(matmul(matmul(matmul(xi, left), xi), right))
         return mp.re(val) * exp(mpf(t) * log(mpf(d2)))
 
     z1 = z(1)

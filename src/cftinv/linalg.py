@@ -23,17 +23,6 @@ is an mpc exactly when row i of ``a`` or column j of ``b`` holds an mpc,
 which is ``fdot``'s rule, and zeros are not stored, as in
 ``matrix.__setitem__``.
 
-Three exact dot products for a complex entry.  With x_k = r_k + i s_k and
-y_k = u_k + i v_k as exact ints, the real part is sum r u - sum s v and the
-imaginary part sum (r + s)(u + v) - sum r u - sum s v, so three dot
-products replace four; the sums r + s and u + v are formed once per line.
-The parts are the same exact ints either way, so the rounded entry is too.
-
-Diagonal only.  :func:`trace_product` is the trace of ``matmul(a, b)``:
-each (a b)[i, i] is formed by ``matmul``'s per-entry code from row i and
-column i alone, a zero is the context's zero as a matrix reads it back, and
-the entries are added in ``sum``'s order, as ``lab.trace`` adds them.
-
 Column-sparse products.  When column j of ``b`` is zero outside a known set
 of rows, :func:`column_sparse_product` sums only those terms of each entry.
 The terms left out are exactly zero, so the exact int sum is unchanged;
@@ -67,7 +56,7 @@ mpmath's bits and type.
 
 from __future__ import annotations
 
-from operator import add, mul
+from operator import mul
 
 from mpmath.libmp import (finf, fninf, fone, from_man_exp, fzero, mpc_abs,
                           mpc_add, mpc_add_mpf, mpc_conjugate, mpc_div,
@@ -118,10 +107,10 @@ def _scan(xs, ctx, cap):
 
 def _pack(xs, ctx, cap):
     """A line of :func:`_scan` as signed ints over one exponent, for
-    :func:`matmul`: ``(lo, hi, re, im, s, ext)`` with
-    x_k = (re[k] + i im[k]) 2^lo, ``im`` and ``s`` None when no entry is an
-    mpc and otherwise s[k] = re[k] + im[k], and ext[k] the least and
-    greatest raw exponent of x_k's nonzero parts (None when x_k is 0)."""
+    :func:`matmul`: ``(lo, hi, re, im, ext)`` with
+    x_k = (re[k] + i im[k]) 2^lo, ``im`` None when no entry is an mpc, and
+    ext[k] the least and greatest raw exponent of x_k's nonzero parts (None
+    when x_k is 0)."""
     scan = _scan(xs, ctx, cap)
     if scan is None or scan is _ZERO_LINE:
         return scan
@@ -132,12 +121,11 @@ def _pack(xs, ctx, cap):
     for p in parts:
         es = [e for sign, man, e, bc in p if man]
         ext.append((min(es), max(es)) if es else None)
-    im = s = None
+    im = None
     if cplx:
         im = [(-man if sign else man) << (e - lo) if man else 0
               for _, (sign, man, e, bc) in parts]
-        s = list(map(add, re, im))
-    return lo, hi, re, im, s, ext
+    return lo, hi, re, im, ext
 
 
 def _span(ext_a, ext_b):
@@ -155,8 +143,8 @@ def _dot(pa, pb, limit, prec, rnd):
     """sum_k a_k b_k of two packed lines, rounded once: a raw mpf or mpc,
     None when it is exactly zero, or ``_FDOT`` when the products' exponents
     span more than ``limit`` bits."""
-    lo_a, hi_a, re_a, im_a, s_a, ext_a = pa
-    lo_b, hi_b, re_b, im_b, s_b, ext_b = pb
+    lo_a, hi_a, re_a, im_a, ext_a = pa
+    lo_b, hi_b, re_b, im_b, ext_b = pb
     if hi_a + hi_b - lo_a - lo_b > limit:
         span = _span(ext_a, ext_b)
         if span is None:
@@ -167,14 +155,13 @@ def _dot(pa, pb, limit, prec, rnd):
     re = sum(map(mul, re_a, re_b))
     if im_a is None and im_b is None:
         return from_man_exp(re, e, prec, rnd) if re else None
-    if im_b is None:
-        im = sum(map(mul, im_a, re_b))
-    elif im_a is None:
-        im = sum(map(mul, re_a, im_b))
-    else:
-        ii = sum(map(mul, im_a, im_b))
-        im = sum(map(mul, s_a, s_b)) - re - ii
-        re -= ii
+    im = 0
+    if im_b is not None:
+        im += sum(map(mul, re_a, im_b))
+    if im_a is not None:
+        im += sum(map(mul, im_a, re_b))
+    if im_a is not None and im_b is not None:
+        re -= sum(map(mul, im_a, im_b))
     if re or im:
         return from_man_exp(re, e, prec, rnd), from_man_exp(im, e, prec, rnd)
     return None
@@ -218,24 +205,6 @@ def matmul(a, b):
     return out
 
 
-def trace_product(a, b):
-    """The trace of ``matmul(a, b)`` with its bits, forming only the
-    diagonal: each (a b)[i, i] as ``matmul`` forms it, a zero read back as
-    the context's zero as from a matrix, summed in ``sum``'s order."""
-    if a.cols != b.rows or a.rows != b.cols:
-        raise ValueError("dimensions not compatible for a trace of a product")
-    ctx = a.ctx
-    cap = 8 * ctx.prec
-    diag = []
-    for i in range(a.rows):
-        row = [a[i, k] for k in range(a.cols)]
-        col = [b[k, i] for k in range(b.rows)]
-        v = _entry(ctx, _pack(row, ctx, cap), _pack(col, ctx, cap),
-                   lambda: (row, col))
-        diag.append(v if v else ctx.zero)
-    return sum(diag)
-
-
 def column_sparse_product(a, cols, supports, support_of):
     """``a * b`` with :func:`matmul`'s bits for a ``b`` whose column j is
     zero outside the rows ``supports[support_of[j]]`` (a tuple of row
@@ -262,10 +231,9 @@ def column_sparse_product(a, cols, supports, support_of):
         pa = _pack(a_row, ctx, cap)
         subs = [pa] * len(supports)
         if pa is not None and pa is not _ZERO_LINE:
-            lo, hi, re, im, s, ext = pa
+            lo, hi, re, im, ext = pa
             subs = [(lo, hi, [re[k] for k in rows],
                      None if im is None else [im[k] for k in rows],
-                     None if s is None else [s[k] for k in rows],
                      [ext[k] for k in rows]) for rows in supports]
         for j, pb in enumerate(p_cols):
             v = _entry(ctx, subs[support_of[j]], pb,

@@ -28,6 +28,10 @@ that cannot change a bit, must reproduce its sums bit for bit.
 loops of the exact coefficient build; the library's column-sum build must
 reproduce their integers exactly.
 
+``max_abs`` is the largest ``abs`` of a matrix entry; ``max_abs(a - b)``
+forms the difference matrix, and ``lab.max_abs_diff`` must give its bits
+without forming it.
+
 ``product_span`` is the exponent spread of a product's nonzero terms,
 rebuilt from the raw parts of both lines for every entry; ``cftinv.linalg``
 reads it off per-term extents packed once per row and column, and must
@@ -58,7 +62,7 @@ from cftinv.errors import (InconsistencyError, InsufficientCutoffError,
 from cftinv.fock import RatioRow
 from cftinv.lab import (FlowGenerator, _cocycle, _complement,
                         _flow_matches_state, _strides, embed, eye, matmul,
-                        max_abs, spatial_derivative, spectrum, trace)
+                        spatial_derivative, spectrum, trace)
 from cftinv.modular_data import mpq
 from cftinv.spectral import AsymptoticFit
 
@@ -140,6 +144,11 @@ def evaluate_full_sum(series, t, shifted=True, tol=None):
             required_cutoff=required_cutoff(t, tol, h, c24, shifted))
     rounding = abs(value) * mpf(2) ** (4 - mp.prec) * (series.cutoff + 2)
     return TraceValue(value=value, error=tail + rounding)
+
+
+def max_abs(a):
+    """The largest ``abs`` of an entry of ``a``."""
+    return max(abs(a[i, j]) for i in range(a.rows) for j in range(a.cols))
 
 
 def product_span(parts_a, parts_b):

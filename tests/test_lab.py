@@ -9,8 +9,8 @@ from cftinv import lab, linalg
 from cftinv.errors import (HypothesisViolationError, IdentityViolationError,
                            NotSeparatingError, RankDeficiencyError)
 from oracles import (VectorState, cocycle_direct_fresh, exp_factor,
-                     flow_from_legs, index_product_fresh, power_it_fresh,
-                     product_span, random_unit_vector, reduced_density,
+                     flow_from_legs, index_product_fresh, max_abs,
+                     power_it_fresh, product_span, random_unit_vector, reduced_density,
                      spatial_cocycle_factorization_residual,
                      weight_mass_cocycle_oracle, weight_total_mass)
 
@@ -37,7 +37,7 @@ def test_embed_and_kron_agree():
     dims = (2, 3)
     full = lab.kron(a, b)
     via = lab.embed(a, (0,), dims) * lab.embed(b, (1,), dims)
-    assert lab.max_abs(full - via) < mpf("1e-28")
+    assert max_abs(full - via) < mpf("1e-28")
 
 
 def test_embed_non_contiguous():
@@ -46,7 +46,7 @@ def test_embed_non_contiguous():
     dims = (2, 3, 2)
     m = lab.embed(a, (2,), dims)
     expect = lab.kron(lab.kron(lab.eye(2), lab.eye(3)), a)
-    assert lab.max_abs(m - expect) < mpf("1e-28")
+    assert max_abs(m - expect) < mpf("1e-28")
 
 
 def test_reduced_density_pure_product():
@@ -59,7 +59,7 @@ def test_reduced_density_pure_product():
             full[i * 3 + j] = v1[i] * v2[j]
     rho = reduced_density(full, (2, 3), (1,))
     expect = v2 * lab.dag(v2)
-    assert lab.max_abs(rho - expect) < mpf("1e-28")
+    assert max_abs(rho - expect) < mpf("1e-28")
 
 
 def _raw(x):
@@ -190,11 +190,10 @@ def test_matmul_wide_exponents_fall_back_to_fdot(dps, monkeypatch):
 
 
 @DPS
-def test_matmul_three_products_bit_identical(dps, monkeypatch):
-    """The complex part from three exact dot products, (re_a + im_a)(re_b +
-    im_b) minus the two others, has mpmath's bits: complex times complex,
-    mixed lines, and rows whose spread passes 2 prec so that only some of
-    their entries, those meeting both wide terms, go to fdot."""
+def test_matmul_complex_partial_fdot_bit_identical(dps, monkeypatch):
+    """Complex products have mpmath's bits: complex times complex, mixed
+    lines, and rows whose spread passes 2 prec so that only some of their
+    entries, those meeting both wide terms, go to fdot."""
     rng = rnd(19)
     with mp.workdps(dps):
         for kinds in [("complex", "complex"), ("mixed", "complex"),
@@ -250,51 +249,10 @@ def test_precomputed_span_matches_oracle():
                 continue
             want = product_span(linalg._scan(row, mp, cap)[3],
                                 linalg._scan(col, mp, cap)[3])
-            assert linalg._span(pa[5], pb[5]) == want
+            assert linalg._span(pa[4], pb[4]) == want
         assert linalg._span([None, (0, 3)], [(1, 1), None]) is None
         zero, one = (mpf(0)._mpf_,) * 2, (mpf(1)._mpf_,) * 2
         assert product_span([zero, one], [one, zero]) is None
-
-
-@pytest.mark.parametrize("dps", [30, 50])
-def test_trace_product_matches_trace_of_matmul(dps, monkeypatch):
-    """``trace_product`` has the bits and type of ``trace(matmul(a, b))``:
-    dense, real, mixed, a zero diagonal entry, an all-zero diagonal, a
-    wide term handed to fdot and a cancellation fdot makes exact."""
-    rng = rnd(21)
-    with mp.workdps(dps):
-        pairs = [(random_matrix(rng, 6, 6, k1), random_matrix(rng, 6, 6, k2))
-                 for k1, k2 in [("complex", "complex"), ("real", "real"),
-                                ("mixed", "real"), ("real", "mixed")]]
-        a = random_matrix(rng, 4, 3, "complex")
-        b = random_matrix(rng, 3, 4, "mixed")
-        for k in range(3):
-            a[2, k] = 0                          # (ab)[2, 2] = 0
-        pairs.append((a, b))
-        pairs.append((matrix(3, 3), random_matrix(rng, 3, 3, "complex")))
-        wide = random_matrix(rng, 4, 4, "complex")
-        wide[1, 1] = wide[1, 1] * mpf(2) ** (3 * mp.prec)
-        pairs.append((wide, random_matrix(rng, 4, 4, "complex")))
-        big = mpf(2) ** (4 * mp.prec)
-        cancel = matrix([[1 / big, big, big], [0, 0, 0], [0, 0, 1]])
-        pairs.append((cancel, matrix([[1, 0, 0], [1, 0, 0], [-1, 0, 2]])))
-        # fdot returns an mpc zero here, which a matrix reads back as mpf 0
-        pairs.append((cancel, matrix([[1j, 0, 0], [1j, 0, 0], [-1j, 0, 2]])))
-        wants = [lab.trace(lab.matmul(x, y)) for x, y in pairs]
-        calls = [0]
-        real = mp.fdot
-
-        def counted(*args, **kwargs):
-            calls[0] += 1
-            return real(*args, **kwargs)
-
-        monkeypatch.setattr(mp, "fdot", counted)
-        for (x, y), want in zip(pairs, wants):
-            assert _raw(linalg.trace_product(x, y)) == _raw(want)
-        assert calls[0] > 0
-        assert type(wants[-1]) is mpf and wants[-1] == 2
-    with pytest.raises(ValueError):
-        linalg.trace_product(matrix(2, 3), matrix(3, 3))
 
 
 LEG_SUBSETS = [(), (0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (2, 0), (0, 1, 2)]
@@ -410,7 +368,7 @@ def test_max_abs_diff_matches_max_abs_of_difference():
         d[0, 0] = mpc(d[0, 0], 0)                # equal value, other type
         pairs.append((b, d))
         for x, y in pairs:
-            assert _raw(lab.max_abs_diff(x, y)) == _raw(lab.max_abs(x - y))
+            assert _raw(lab.max_abs_diff(x, y)) == _raw(max_abs(x - y))
     assert lab.max_abs_diff(lab.eye(3), lab.eye(3)) == 0
     with pytest.raises(ValueError):
         lab.max_abs_diff(matrix(2, 3), matrix(3, 2))
@@ -539,9 +497,9 @@ def test_spectrum_functions_and_guard():
     rng = rnd(4)
     rho = lab.random_density(3, rng)
     sp = lab.spectrum(rho, "rho")
-    assert lab.max_abs(sp.fun(lambda lam: lam) - rho) < mpf("1e-28")
-    assert lab.max_abs(sp.pow(2) - rho * rho) < mpf("1e-28")
-    assert lab.max_abs(lab.spectrum(sp.log()).fun(exp) - rho) < mpf("1e-28")
+    assert max_abs(sp.fun(lambda lam: lam) - rho) < mpf("1e-28")
+    assert max_abs(sp.pow(2) - rho * rho) < mpf("1e-28")
+    assert max_abs(lab.spectrum(sp.log()).fun(exp) - rho) < mpf("1e-28")
     sing = mp.diag([mpf(1), mpf(0)])
     lab.spectrum(sing)                    # no guard without a name
     with pytest.raises(RankDeficiencyError, match="sing"):
@@ -556,9 +514,9 @@ def test_shared_spectra_match_fresh_decompositions():
     der = ci.spatial_derivative(lab.random_density(12, rng),
                                 lab.random_density(3, rng), (3, 4, 3), (0, 1))
     t = mpf("0.37")
-    assert lab.max_abs(der.power_it(t) - power_it_fresh(der, t)) == 0
+    assert max_abs(der.power_it(t) - power_it_fresh(der, t)) == 0
     psi, psi0 = lab.random_density(3, rng), lab.random_density(3, rng)
-    assert lab.max_abs(lab.cocycle_direct(psi, psi0, mpf("0.7"))
+    assert max_abs(lab.cocycle_direct(psi, psi0, mpf("0.7"))
                        - cocycle_direct_fresh(psi, psi0, mpf("0.7"))) == 0
 
 
@@ -622,14 +580,14 @@ def test_spatial_derivative_is_product():
     rho_b = lab.random_density(3, rng)      # on leg 2
     der = ci.spatial_derivative(rho_a, rho_b, dims, (0, 1))
     expect = lab.kron(rho_a, lab.mat_pow(rho_b, -1))
-    assert lab.max_abs(der.dense() - expect) < mpf("1e-26")
+    assert max_abs(der.dense() - expect) < mpf("1e-26")
 
 
 def test_spatial_derivative_tracial_identity():
     n = 3
     tr = lab.eye(n) * (mpf(1) / n)
     der = ci.spatial_derivative(tr, tr, (n, n), (0,))
-    assert lab.max_abs(der.dense() - lab.eye(n * n)) < mpf("1e-28")
+    assert max_abs(der.dense() - lab.eye(n * n)) < mpf("1e-28")
 
 
 def test_spatial_derivative_inverse_relation():
@@ -639,7 +597,7 @@ def test_spatial_derivative_inverse_relation():
     rho_b = lab.random_density(2, rng)
     der = ci.spatial_derivative(rho_a, rho_b, dims, (0, 1))
     prod = der.dense() * der.inverse().dense()
-    assert lab.max_abs(prod - lab.eye(12)) < mpf("1e-20")
+    assert max_abs(prod - lab.eye(12)) < mpf("1e-20")
 
 
 def test_spatial_derivative_implements_flows():
@@ -683,7 +641,7 @@ def test_cocycle_same_state_is_identity():
     rng = rnd(20)
     psi = lab.random_density(3, rng)
     res = ci.connes_cocycle(psi, psi, mpf("0.8"))
-    assert lab.max_abs(res.u - lab.eye(3)) < mpf("1e-25")
+    assert max_abs(res.u - lab.eye(3)) < mpf("1e-25")
 
 
 def test_cocycle_reconstruction_matches_direct():
@@ -692,7 +650,7 @@ def test_cocycle_reconstruction_matches_direct():
     psi0 = lab.random_density(3, rng)
     res = ci.connes_cocycle(psi, psi0, mpf("0.7"))
     direct = lab.cocycle_direct(psi, psi0, mpf("0.7"))
-    assert lab.max_abs(res.u - direct) < mpf("1e-16")
+    assert max_abs(res.u - direct) < mpf("1e-16")
     assert res.membership_residual < mpf("1e-18")
     assert res.unitarity_residual < mpf("1e-18")
 
@@ -829,7 +787,7 @@ def test_index_product_swap_symmetry_structure():
     flow = ci.canonical_flow(triple, rho, rho)
     k1 = flow.generator_on((0,))
     k3 = flow.generator_on((2,))
-    assert lab.max_abs(k1 + k3) < mpf("1e-26")   # swap sends K to -K
+    assert max_abs(k1 + k3) < mpf("1e-26")   # swap sends K to -K
 
 
 def test_canonical_flow_generators_are_the_log_densities():
@@ -891,12 +849,12 @@ def test_flow_preserves_leg_algebras():
     moved = v * lab.embed(x, (0,), triple.dims) * vd
     s = lab.mat_pow(rho1, 1j * mpf("0.6"))
     expect = lab.embed(s * x * lab.dag(s), (0,), triple.dims)
-    assert lab.max_abs(moved - expect) < mpf("1e-20")
+    assert max_abs(moved - expect) < mpf("1e-20")
     y = lab.random_density(2, rng)
     moved = v * lab.embed(y, (2,), triple.dims) * vd
     s = lab.mat_pow(rho3, -1j * mpf("0.6"))
     expect = lab.embed(s * y * lab.dag(s), (2,), triple.dims)
-    assert lab.max_abs(moved - expect) < mpf("1e-20")
+    assert max_abs(moved - expect) < mpf("1e-20")
 
 
 # ------------------------------------------------------------------ entropy
