@@ -91,9 +91,11 @@ def test_matmul_36_complex(benchmark):
     assert out.rows == out.cols == 36
 
 
-@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 4, 3)], ids=str)
+@pytest.mark.parametrize("dims", [(2, 3, 2), (3, 4, 3), (2, 3, 4)], ids=str)
 def test_battery_appendix_c(benchmark, dims):
-    """The whole matrix-lab battery, the body of ``cftinv lab``."""
+    """The whole matrix-lab battery, the body of ``cftinv lab``: on two
+    lanes where the battery forks one, so it times the lanes, fork
+    included."""
 
     def run():
         b = verify.Battery()

@@ -32,20 +32,29 @@ class BlackHoleParams:
 
     @staticmethod
     def schwarzschild(mass) -> "BlackHoleParams":
-        m = mpf(mass)
+        m = _positive("mass", mass)
         return BlackHoleParams(area=16 * pi * m * m,
                                surface_gravity=1 / (4 * m), mass=m)
 
     @staticmethod
     def from_area(area) -> "BlackHoleParams":
-        a = mpf(area)
+        a = _positive("area", area)
         m = sqrt(a / (16 * pi))
         return BlackHoleParams(area=a, surface_gravity=1 / (4 * m), mass=m)
 
     @staticmethod
     def from_central_charge(c) -> "BlackHoleParams":
         """Invert c/12 = A/(8 pi)."""
-        return BlackHoleParams.from_area(2 * pi * mpf(c) / 3)
+        return BlackHoleParams.from_area(2 * pi * _positive("central charge", c) / 3)
+
+
+def _positive(name, x):
+    """``x`` as an mpf, refused unless finite and above zero (a zero or
+    infinite input would divide by zero or give an all-nan horizon)."""
+    x = mpf(x)
+    if not (x > 0 and mp.isfinite(x)):
+        raise ValueError(f"{name} must be positive and finite")
+    return x
 
 
 @dataclass(frozen=True)

@@ -50,10 +50,10 @@ MAX_GRID_POINTS = 1000
 
 #: Largest --precision (and CFTINV_DPS), in digits.  Every libmp product and
 #: the eigensolver's iteration limit grow with it: at 500 digits
-#: ``lab --dims 4,4,4`` (the --dims limit) takes 46 s, ``lab --dims 3,4,3``
-#: 9-15 s and ``verify --all`` 10 s; at 1000 digits the two lab commands
-#: take 157 s and 40 s (fresh process, one run each, four of
-#: ``lab --dims 3,4,3`` at 500, Xeon VM core).
+#: ``lab --dims 4,4,4`` (the --dims limit) takes 29 s, ``lab --dims 3,4,3``
+#: 7-8 s and ``verify --all`` 10 s; at 1000 digits the two lab commands
+#: take 85 s and 19 s (fresh process, one run each, two of
+#: ``lab --dims 3,4,3`` at 500; two-vCPU Xeon VM, the lab battery on both).
 MAX_PRECISION = 500
 
 
@@ -100,6 +100,8 @@ def parse_grid(spec: str):
         raise ConfigError("grid must be lo:hi:count[:linear|log]")
     lo, hi, count = mpf(parts[0]), mpf(parts[1]), int(parts[2])
     spacing = parts[3] if len(parts) == 4 else "linear"
+    if not (mp.isfinite(lo) and mp.isfinite(hi)):
+        raise ConfigError("grid ends must be finite numbers")
     if count < 1 or hi < lo:
         raise ConfigError("grid needs count >= 1 and hi >= lo")
     if count > MAX_GRID_POINTS:

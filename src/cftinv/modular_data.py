@@ -67,7 +67,10 @@ class MinimalModel:
             raise KeyError(f"no sector with Kac label {selector}")
         if selector == "vacuum":
             return 0
-        h = Fraction(selector)
+        try:
+            h = Fraction(selector)
+        except ZeroDivisionError:
+            raise ValueError(f"sector weight {selector!r} divides by zero") from None
         for i, sec in enumerate(self.sectors):
             if sec.h == h:
                 return i

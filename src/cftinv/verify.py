@@ -22,6 +22,24 @@ rows to a battery and returns nothing:
   dimensions;
 - ``bridge``: the black-hole dictionary.
 
+The ``appendix-c`` battery, which is also the whole of ``cftinv lab``, runs
+on two lanes: the calling process and one child made with ``os.fork``.  Its
+rows are pure-Python mpmath arithmetic, so threads would share one core,
+and a fork needs no import or pickled input in the child: the child starts
+with the caller's precision, inputs and code.  The caller first draws every
+random density from the battery's seeded generator, in the order the rows
+have always drawn them; the row groups are then tasks that read no
+generator (:func:`_appendix_c_tasks`).  The child runs a fixed set of
+them and the caller the rest, so each lane does the same work on every run
+(a tracer in the caller counts the same calls each time).  Each lane keeps
+its own copy of the battery's :func:`~cftinv.lab.shared_spectra` memo; no
+density is read by tasks of both lanes, so none is decomposed twice.  The
+caller replays the rows in report order, so the bytes are those of running
+the rows one by one; if a task raised, the rows before it are kept and its
+exception is raised again.  Where ``os.fork`` is missing, fewer than two CPUs are usable or
+another thread is running, the tasks run in the caller, one after another:
+the same rows, and the reference the tests compare the lanes with.
+
 :func:`run_batteries` runs the selected batteries in report order, builds
 the model's modular data once for the two batteries that read it, and turns
 a :class:`~cftinv.errors.ToolkitError` that ends a battery into a
@@ -31,7 +49,9 @@ a :class:`~cftinv.errors.ToolkitError` that ends a battery into a
 from __future__ import annotations
 
 import functools
+import os
 import random
+import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -167,88 +187,234 @@ def battery_fock(b: Battery, seed: int, corrupt_sign: bool = False):
 
 
 def battery_appendix_c(b: Battery, dims, seed: int):
-    """The matrix lab's rows.  Within the battery each density is
-    decomposed once (:func:`cftinv.lab.shared_spectra`); the spectra are
-    dropped when it returns or raises."""
+    """The matrix lab's rows, run on two lanes (module docstring).  Within
+    a lane each density is decomposed once (:func:`cftinv.lab.shared_spectra`);
+    the spectra are dropped when the battery returns or raises."""
     with lab.shared_spectra():
         _appendix_c_rows(b, dims, seed)
 
 
 def _appendix_c_rows(b: Battery, dims, seed: int):
+    tasks, child = _appendix_c_tasks(dims, seed)
+    pairs = []
+    for rows, exc in _run_tasks(tasks, child):
+        for row in rows:
+            if not isinstance(row, tuple):
+                b.results.append(row)
+                continue
+            # a residual call's (r1, r2); the row folds the three in call order
+            pairs.append(row)
+            if len(pairs) == 3:
+                worst1 = worst2 = mpf(0)
+                for r1, r2 in pairs:
+                    worst1, worst2 = max(worst1, r1), max(worst2, r2)
+                b.check("spatial-derivative-implements", max(worst1, worst2),
+                        "1e-18")
+        if exc is not None:
+            # the rows before it stand, as when the rows ran one by one
+            raise exc
+
+
+def _appendix_c_tasks(dims, seed: int):
+    """The battery's row groups as tasks in report order, and the indices
+    of those the forked child runs.  Every random input is drawn here, in
+    the order the rows have always drawn them, so no task reads the
+    generator.
+    A task appends its rows to the battery it is given; a residual call
+    appends its (r1, r2) pair, which :func:`_appendix_c_rows` folds."""
     d1, d2, d3 = dims
     triple = lab.FiniteFactorTriple(d1, d2, d3)
     rng = random.Random(seed)
-    # spatial derivative implements both modular flows
-    worst1 = worst2 = mpf(0)
-    for _ in range(3):
-        rho_a = lab.random_density(d1 * d2, rng)
-        rho_b = lab.random_density(d3, rng)
-        der = lab.spatial_derivative(rho_a, rho_b, triple.dims, (0, 1))
-        r1, r2 = lab.modular_implementation_residual(der, mpf("0.37"))
-        worst1, worst2 = max(worst1, r1), max(worst2, r2)
-    b.check("spatial-derivative-implements", max(worst1, worst2), "1e-18")
-    der_inv = lab.matmul(der.dense(), der.inverse().dense())
-    n = der_inv.rows
-    b.check("spatial-derivative-inverse",
-            max(abs(der_inv[i, j] - (1 if i == j else 0))
-                for i in range(n) for j in range(n)), "1e-20")
-    # cocycles on a 3-dim factor
-    psi = lab.random_density(3, rng)
-    psi0 = lab.random_density(3, rng)
-    psi1 = lab.random_density(3, rng)
-    res = lab.connes_cocycle(psi, psi0, mpf("0.7"))
-    b.check("cocycle-membership", res.membership_residual, "1e-18")
-    b.check("cocycle-unitary", res.unitarity_residual, "1e-18")
-    direct = lab.cocycle_direct(psi, psi0, mpf("0.7"))
-    b.check("cocycle-direct-vs-reconstructed",
-            lab.max_abs_diff(res.u, direct), "1e-16")
-    b.check("cocycle-identity",
-            lab.cocycle_identity_residual(psi, psi0, mpf("0.4"), mpf("0.3")),
-            "1e-16")
-    b.check("cocycle-chain-rule",
-            lab.cocycle_chain_residual(psi, psi0, psi1, mpf("0.6")), "1e-16")
-    # index product, several random state pairs
-    worst = mpf(0)
-    last = None
-    for _ in range(5):
-        rho1 = lab.random_density(d1, rng)
-        rho3 = lab.random_density(d3, rng)
-        flow = lab.canonical_flow(triple, rho1, rho3)
-        last = lab.index_product(triple, rho1, rho3, flow)
-        worst = max(worst, last.deviation)
-    b.check(f"index-product-d2sq-{d1}{d2}{d3}", worst, "1e-8",
-            lhs=last.product, rhs=last.expected)
-    # symmetric split: each mass separately equals d2
-    if d1 == d3:
-        rho = lab.random_density(d1, rng)
-        flow = lab.canonical_flow(triple, rho, rho)
-        out = lab.index_product(triple, rho, rho, flow)
-        b.check("symmetric-split-masses",
-                max(abs(out.mass1 - d2), abs(out.mass2 - d2)), "1e-8",
-                lhs=out.mass1, rhs=mpf(d2))
-    # relative entropy vs density-matrix oracle
-    worst = mpf(0)
-    for _ in range(10):
-        r1 = lab.random_density(4, rng)
-        r2 = lab.random_density(4, rng)
-        worst = max(worst, abs(lab.araki_relative_entropy(r1, r2)
-                               - lab.relative_entropy_oracle(r1, r2)))
-    b.check("araki-vs-oracle", worst, "1e-12")
-    b.check("pimsner-popa-consistency",
-            abs(lab.pimsner_popa_entropy(triple)
-                - 2 * log(sqrt(triple.index))), "1e-20")
-    # derivative identity at the KMS point (symmetric split only)
-    if d1 == d3:
+
+    def draw(n):
+        return lab.random_density(n, rng)
+
+    legs = [(draw(d1 * d2), draw(d3)) for _ in range(3)]
+    psi, psi0, psi1 = draw(3), draw(3), draw(3)
+    flow_pairs = [(draw(d1), draw(d3)) for _ in range(5)]
+    rho_split = draw(d1) if d1 == d3 else None
+    entropy_pairs = [(draw(4), draw(4)) for _ in range(10)]
+    rho_kms = draw(d1) if d1 == d3 else None
+    rho_recon = draw(d1)
+
+    def residual(k):
+        def task(sub):
+            # the spatial derivative implements both modular flows
+            der = lab.spatial_derivative(*legs[k], triple.dims, (0, 1))
+            sub.results.append(
+                lab.modular_implementation_residual(der, mpf("0.37")))
+            if k == 2:
+                der_inv = lab.matmul(der.dense(), der.inverse().dense())
+                n = der_inv.rows
+                sub.check("spatial-derivative-inverse",
+                          max(abs(der_inv[i, j] - (1 if i == j else 0))
+                              for i in range(n) for j in range(n)), "1e-20")
+        return task
+
+    def cocycles(sub):
+        # cocycles on a 3-dim factor
+        res = lab.connes_cocycle(psi, psi0, mpf("0.7"))
+        sub.check("cocycle-membership", res.membership_residual, "1e-18")
+        sub.check("cocycle-unitary", res.unitarity_residual, "1e-18")
+        direct = lab.cocycle_direct(psi, psi0, mpf("0.7"))
+        sub.check("cocycle-direct-vs-reconstructed",
+                  lab.max_abs_diff(res.u, direct), "1e-16")
+        sub.check("cocycle-identity",
+                  lab.cocycle_identity_residual(psi, psi0, mpf("0.4"),
+                                                mpf("0.3")), "1e-16")
+        sub.check("cocycle-chain-rule",
+                  lab.cocycle_chain_residual(psi, psi0, psi1, mpf("0.6")),
+                  "1e-16")
+
+    def index(sub):
+        # index product, several random state pairs
+        worst = mpf(0)
+        last = None
+        for rho1, rho3 in flow_pairs:
+            flow = lab.canonical_flow(triple, rho1, rho3)
+            last = lab.index_product(triple, rho1, rho3, flow)
+            worst = max(worst, last.deviation)
+        sub.check(f"index-product-d2sq-{d1}{d2}{d3}", worst, "1e-8",
+                  lhs=last.product, rhs=last.expected)
+        # symmetric split: each mass separately equals d2
+        if rho_split is not None:
+            flow = lab.canonical_flow(triple, rho_split, rho_split)
+            out = lab.index_product(triple, rho_split, rho_split, flow)
+            sub.check("symmetric-split-masses",
+                      max(abs(out.mass1 - d2), abs(out.mass2 - d2)), "1e-8",
+                      lhs=out.mass1, rhs=mpf(d2))
+
+    def entropy(sub):
+        # relative entropy vs density-matrix oracle
+        worst = mpf(0)
+        for r1, r2 in entropy_pairs:
+            worst = max(worst, abs(lab.araki_relative_entropy(r1, r2)
+                                   - lab.relative_entropy_oracle(r1, r2)))
+        sub.check("araki-vs-oracle", worst, "1e-12")
+        sub.check("pimsner-popa-consistency",
+                  abs(lab.pimsner_popa_entropy(triple)
+                      - 2 * log(sqrt(triple.index))), "1e-20")
+
+    def kms(sub):
+        # derivative identity at the KMS point (symmetric split only)
+        if rho_kms is not None:
+            try:
+                rep = lab.entropy_derivative_identity(triple, rho_kms)
+                sub.check("kms-mass", rep.mass_residual, "1e-6")
+                sub.check("kms-derivative-identity", rep.identity_residual,
+                          "1e-6")
+            except ToolkitError as exc:
+                sub.record_error("kms-derivative-identity", exc)
+        sub.check("reconstruction-flow-restriction",
+                  lab.reconstruction_flow_residual(triple, rho_recon), "1e-16")
+
+    tasks = [residual(0), residual(1), residual(2), cocycles, index, entropy,
+             kms]
+    # The child runs residual calls 1 and 2 and the entropy rows; the caller
+    # the third call with the inverse, the cocycles, the index product and
+    # KMS.  Serial task times (s, mean of two runs at 50 digits) put the
+    # lanes at child/caller 0.16/0.10 (2,2,2), 0.16/0.12 (2,3,2), 0.27/0.17
+    # (2,3,4), 0.75/0.92 (3,4,3) and 2.99/3.43 (4,4,4).  Its busier lane is
+    # at most 1.22 times an even split over these dims, and no split of the
+    # seven tasks does better at its worst.  Run on two lanes (median of 5,
+    # in one process), it was the fastest of six candidate splits at 3,4,3
+    # and within 4% of the fastest at 2,2,2, 2,3,2 and 2,3,4.  The split is
+    # fixed, not claimed at run time, so that both lanes do the same work on
+    # every run.
+    return tasks, (0, 1, 5)
+
+
+def _run_tasks(tasks, child):
+    """(rows, exception or None) of each task, in task order: on two lanes
+    where :func:`_lanes_available` allows, else in process."""
+    if _lanes_available():
+        return _run_forked(tasks, child)
+    return _run_in_process(tasks)
+
+
+def _lanes_available() -> bool:
+    """A second lane helps only with a second usable CPU, and a fork is
+    safe only while this process runs one thread."""
+    if not hasattr(os, "fork"):
+        return False
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return cpus >= 2 and threading.active_count() == 1
+
+
+def _outcome(task):
+    sub = Battery()
+    try:
+        task(sub)
+    except Exception as exc:
+        return sub.results, exc
+    return sub.results, None
+
+
+def _run_in_process(tasks):
+    """The tasks one after another in the caller, in task order, up to and
+    including the first that raises: the reference for the forked lanes."""
+    outcomes = []
+    for task in tasks:
+        outcomes.append(_outcome(task))
+        if outcomes[-1][1] is not None:
+            break
+    return outcomes
+
+
+def _run_forked(tasks, child):
+    """The tasks on two lanes: a forked child runs those whose indices are
+    in ``child``, the caller the others.  The child sends its outcomes
+    pickled through a pipe and ends with ``os._exit``, so it never returns
+    into the caller's stack or flushes inherited buffers.
+    On every exit the child is reaped, and killed first if it is still
+    running; a child that ends without sending its outcomes raises
+    :class:`~cftinv.errors.ToolkitError`."""
+    import pickle
+    import signal
+
+    results, sink = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(results)
+        os.close(sink)
+        return _run_in_process(tasks)
+    if pid == 0:
+        code = 1
         try:
-            rho = lab.random_density(d1, rng)
-            rep = lab.entropy_derivative_identity(triple, rho)
-            b.check("kms-mass", rep.mass_residual, "1e-6")
-            b.check("kms-derivative-identity", rep.identity_residual, "1e-6")
-        except ToolkitError as exc:
-            b.record_error("kms-derivative-identity", exc)
-    b.check("reconstruction-flow-restriction",
-            lab.reconstruction_flow_residual(triple, lab.random_density(d1, rng)),
-            "1e-16")
+            os.close(results)
+            data = memoryview(pickle.dumps(
+                {i: _outcome(tasks[i]) for i in child}))
+            while data:
+                data = data[os.write(sink, data):]
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(sink)
+    reaped = False
+    try:
+        done = {i: _outcome(task) for i, task in enumerate(tasks)
+                if i not in child}
+        chunks = []
+        while chunk := os.read(results, 1 << 16):
+            chunks.append(chunk)
+        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped = True
+        if status != 0:
+            how = (f"killed by signal {-status}" if status < 0
+                   else f"exit status {status}")
+            raise ToolkitError("the lab battery's second lane ended without "
+                               f"its rows ({how})")
+        done.update(pickle.loads(b"".join(chunks)))
+    finally:
+        os.close(results)
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    return [done[i] for i in range(len(tasks))]
 
 
 def battery_bridge(b: Battery):

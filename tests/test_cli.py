@@ -310,6 +310,22 @@ def test_malformed_inputs_never_panic(capsys, tmp_path):
     assert code == 1 and err
 
 
+@pytest.mark.parametrize("argv", [
+    ("invariants", "--m", "3", "--sector", "1/0"),
+    ("characters", "--m", "3", "--sector", "1/0"),
+    ("bh", "--mass", "0"),
+    ("bh", "--area", "nan"),
+    ("bh", "--mass", "nan"),
+    ("invariants", "--grid", "nan:1:5"),
+    ("invariants", "--grid", "0.01:inf:5"),
+    ("fock", "--grid", "nan:1:3"),
+], ids=" ".join)
+def test_zero_and_non_finite_inputs_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and json.loads(err)["exit"] == 1
+
+
 def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
     import cftinv.cli as cli
     from cftinv import lab, verify

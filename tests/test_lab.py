@@ -424,6 +424,8 @@ def test_battery_decomposes_each_input_once(monkeypatch):
         return e, q
 
     monkeypatch.setattr(lab, "eighe", recorded)
+    # in process: a forked lane's decompositions are not seen here
+    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
     b = verify.Battery()
     verify.battery_appendix_c(b, (3, 4, 3), 7)
     assert b.all_pass
@@ -443,6 +445,8 @@ def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
         seen.append(len(lab._shared))
         raise RuntimeError("boom")
 
+    # in process: a forked lane's memo is not seen here
+    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
     verify.battery_appendix_c(verify.Battery(), (2, 2, 2), 3)
     assert lab._shared is None
     monkeypatch.setattr(lab, "index_product", boom)
@@ -455,6 +459,7 @@ def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
 def test_repeated_lab_commands_decompose_alike(monkeypatch, capsys):
     """Two identical ``lab`` commands in one process share nothing: each
     makes the same decompositions and prints the same bytes."""
+    from cftinv import verify
     from cftinv.cli import main
     calls = [0]
     real = lab.eighe
@@ -464,6 +469,8 @@ def test_repeated_lab_commands_decompose_alike(monkeypatch, capsys):
         return real(a)
 
     monkeypatch.setattr(lab, "eighe", counted)
+    # in process: a forked lane's decompositions are not counted here
+    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
     runs = []
     for _ in range(2):
         before = calls[0]
