@@ -45,12 +45,13 @@ class BlackHoleParams:
     @staticmethod
     def from_central_charge(c) -> "BlackHoleParams":
         """Invert c/12 = A/(8 pi)."""
-        return BlackHoleParams.from_area(2 * pi * _positive("central charge", c) / 3)
+        c = _positive("central charge", c)
+        return BlackHoleParams.from_area(2 * pi * c / 3)
 
 
 def _positive(name, x):
-    """``x`` as an mpf, refused unless finite and above zero (a zero or
-    infinite input would divide by zero or give an all-nan horizon)."""
+    """``x`` as an mpf, refused unless finite and above zero: zero would
+    divide by zero, and nan or inf would give a nan or degenerate horizon."""
     x = mpf(x)
     if not (x > 0 and mp.isfinite(x)):
         raise ValueError(f"{name} must be positive and finite")

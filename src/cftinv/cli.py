@@ -50,9 +50,9 @@ MAX_GRID_POINTS = 1000
 
 #: Largest --precision (and CFTINV_DPS), in digits.  Every libmp product and
 #: the eigensolver's iteration limit grow with it: at 500 digits
-#: ``lab --dims 4,4,4`` (the --dims limit) takes 29 s, ``lab --dims 3,4,3``
-#: 7-8 s and ``verify --all`` 10 s; at 1000 digits the two lab commands
-#: take 85 s and 19 s (fresh process, one run each, two of
+#: ``lab --dims 4,4,4`` (the --dims limit) takes 27 s, ``lab --dims 3,4,3``
+#: 6.4-6.6 s and ``verify --all`` 7.8 s; at 1000 digits the two lab commands
+#: take 88 s and 21 s (fresh process, one run each, two of
 #: ``lab --dims 3,4,3`` at 500; two-vCPU Xeon VM, the lab battery on both).
 MAX_PRECISION = 500
 

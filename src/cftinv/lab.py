@@ -40,7 +40,11 @@ the battery each density is decomposed once: the oracle
 :func:`canonical_flow`, and the cocycle checks those of
 :func:`connes_cocycle`.  The block ends with the battery, on return or
 exception, so nothing is kept from one command to the next; outside a
-block every call decomposes afresh.
+block every call decomposes afresh.  Nothing writes to a spectrum's
+``evals`` (a tuple) or ``q``.  A flow generator K = log rho is the
+spectrum of rho with log applied to its eigenvalues, so the canonical flow
+decomposes no generator and its weight masses are sums of exp(+-lambda)
+over those eigenvalues.
 
 The battery runs its row groups on two lanes, the caller and one forked
 child (``cftinv.verify`` says when and why).  The caller draws every
@@ -48,11 +52,7 @@ random density from the battery's generator, in the rows' order, before
 the fork.  The memo is the module global ``_shared``, so each lane fills
 its own copy of the block's memo; each row group keeps its densities to
 itself, so no density is decomposed in both lanes, and the child's copy
-ends with the child.  Nothing writes to a spectrum's
-``evals`` (a tuple) or ``q``.  A flow generator K = log rho is the
-spectrum of rho with log applied to its eigenvalues, so the canonical flow
-decomposes no generator and its weight masses are sums of exp(+-lambda)
-over those eigenvalues.
+ends with the child.
 
 Linear algebra with mpmath's bits: ``eighe``, :func:`matmul` and the
 single-term and column-sparse kernels come from :mod:`cftinv.linalg`,

@@ -70,7 +70,8 @@ class MinimalModel:
         try:
             h = Fraction(selector)
         except ZeroDivisionError:
-            raise ValueError(f"sector weight {selector!r} divides by zero") from None
+            raise ValueError(
+                f"sector weight {selector!r} divides by zero") from None
         for i, sec in enumerate(self.sectors):
             if sec.h == h:
                 return i
