@@ -36,9 +36,10 @@ its own copy of the battery's :func:`~cftinv.lab.shared_spectra` memo; no
 density is read by tasks of both lanes, so none is decomposed twice.  The
 caller replays the rows in report order, so the bytes are those of running
 the rows one by one; if a task raised, the rows before it are kept and its
-exception is raised again.  Where ``os.fork`` is missing, fewer than two CPUs are usable or
-another thread is running, the tasks run in the caller, one after another:
-the same rows, and the reference the tests compare the lanes with.
+exception is raised again.  Where ``os.fork`` is missing or fails, fewer than two CPUs are
+usable or another thread is running, the tasks run in the caller, one
+after another: the same rows, and the reference the tests compare the
+lanes with.
 
 :func:`run_batteries` runs the selected batteries in report order, builds
 the model's modular data once for the two batteries that read it, and turns
@@ -196,8 +197,10 @@ def battery_appendix_c(b: Battery, dims, seed: int):
 
 def _appendix_c_rows(b: Battery, dims, seed: int):
     tasks, child = _appendix_c_tasks(dims, seed)
+    outcomes = (_run_forked(tasks, child) if _lanes_available()
+                else _run_in_process(tasks))
     pairs = []
-    for rows, exc in _run_tasks(tasks, child):
+    for rows, exc in outcomes:
         for row in rows:
             if not isinstance(row, tuple):
                 b.results.append(row)
@@ -324,14 +327,6 @@ def _appendix_c_tasks(dims, seed: int):
     return tasks, (0, 1, 5)
 
 
-def _run_tasks(tasks, child):
-    """(rows, exception or None) of each task, in task order: on two lanes
-    where :func:`_lanes_available` allows, else in process."""
-    if _lanes_available():
-        return _run_forked(tasks, child)
-    return _run_in_process(tasks)
-
-
 def _lanes_available() -> bool:
     """A second lane helps only with a second usable CPU, and a fork is
     safe only while this process runs one thread."""
@@ -345,6 +340,7 @@ def _lanes_available() -> bool:
 
 
 def _outcome(task):
+    """(rows, exception or None) of one task, run on a battery of its own."""
     sub = Battery()
     try:
         task(sub)
