@@ -45,15 +45,17 @@ MAX_CUTOFF = 40000
 
 #: Largest grid count; parse_grid refuses more before building any point.
 #: Cost is linear in the count: 1000 points take 28 s for
-#: ``characters --m 8`` and 23 s for ``fock --grid 0.01:1:1000``.
+#: ``characters --m 8`` and 7.6 s for ``fock --grid 0.01:1:1000``, whose points
+#: are split between two lanes (one run each).
 MAX_GRID_POINTS = 1000
 
 #: Largest --precision (and CFTINV_DPS), in digits.  Every libmp product and
 #: the eigensolver's iteration limit grow with it: at 500 digits
 #: ``lab --dims 4,4,4`` (the --dims limit) takes 27 s, ``lab --dims 3,4,3``
-#: 6.4-6.6 s and ``verify --all`` 7.8 s; at 1000 digits the two lab commands
+#: 6.4-6.6 s and ``verify --all`` 4.6 s; at 1000 digits the two lab commands
 #: take 88 s and 21 s (fresh process, one run each, two of
-#: ``lab --dims 3,4,3`` at 500; two-vCPU Xeon VM, the lab battery on both).
+#: ``lab --dims 3,4,3`` at 500; two-vCPU Xeon VM, ``lab`` and ``verify`` on
+#: both).
 MAX_PRECISION = 500
 
 
@@ -73,6 +75,10 @@ class RunConfig:
     def validate(self):
         if self.m < 3:
             raise ConfigError("m must be >= 3")
+        if self.sector != "vacuum" and "e" in self.sector.lower():
+            # Fraction would build 10**k for a weight such as 1e99999999
+            raise ConfigError("sector weight must be written without an "
+                              "exponent, as in 1/16, 3 or 0.5")
         if self.precision < 30:
             raise ConfigError("precision must be >= 30 digits")
         if self.precision > MAX_PRECISION:
@@ -237,7 +243,7 @@ def cmd_verify(cfg: RunConfig, subsets, corrupt_sign: bool) -> int:
 
 def cmd_fock(cfg: RunConfig) -> int:
     h = fock.positive(*range(1, 5001))
-    rows = fock.fermi_ratio_scan(h, cfg.grid or spectral.DEFAULT_FIT_GRID)
+    rows = fock.fermi_ratio_scan_lanes(h, cfg.grid or spectral.DEFAULT_FIT_GRID)
     doc = {"schema": SCHEMA_VERSION, "command": "fock",
            "rows": [{"t": r.t, "numerator": r.numerator,
                      "denominator": r.denominator, "ratio": r.ratio}

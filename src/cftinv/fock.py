@@ -57,6 +57,8 @@ diagonal representation loses nothing.
 
 from __future__ import annotations
 
+import bisect
+import math
 from dataclasses import dataclass
 
 from mpmath import mp, mpf, log, pi
@@ -64,6 +66,7 @@ from mpmath.libmp import (fone, from_int, from_man_exp, fzero, mpf_add,
                           mpf_exp, mpf_le, mpf_log, mpf_mul, mpf_neg,
                           round_ceiling, round_floor, round_nearest)
 
+from . import lanes
 from .errors import (EmptySpectrumError, IdentityViolationError,
                      KindMismatchError)
 
@@ -300,6 +303,54 @@ def fermi_ratio_scan(h: OneParticleOperator, t_grid, slack=mpf("1e-9")):
                 deviation=ratio)
         rows.append(RatioRow(t=t, numerator=num, denominator=den, ratio=ratio))
     return rows
+
+
+def fermi_ratio_scan_lanes(h: OneParticleOperator, t_grid):
+    """The rows of :func:`fermi_ratio_scan` over ``t_grid``, bit for bit,
+    with the grid points split between two lanes (:mod:`cftinv.lanes`).
+
+    Each point's sums start afresh, so ``fermi_ratio_scan(h, [t])`` gives
+    that point's row.  The points go to the lanes longest first, by an
+    estimate of the terms the scan cannot skip at t: the eigenvalues with
+    t l at most prec log 2, where e^{-t l} is still above 2^-prec.  The
+    split depends only on h, the grid and the precision.  A grid of fewer
+    than two points runs in the caller.  The first point that raises, in
+    grid order, raises its exception, as in one scan."""
+    points = list(t_grid)
+    if len(points) < 2:
+        return fermi_ratio_scan(h, points)
+    outcome = lanes.run(
+        [lambda rows, t=t: rows.extend(fermi_ratio_scan(h, [t]))
+         for t in points],
+        _child_points(h, points))
+    rows = []
+    for i in range(len(points)):
+        part, exc = outcome(i)
+        if exc is not None:
+            raise exc
+        rows += part
+    return rows
+
+
+def _child_points(h: OneParticleOperator, points):
+    """Indices of the points the child lane scans: longest first, each to
+    the lane with less estimated work so far, the child on a tie."""
+    lams = sorted(float(lam) for lam in h.eigenvalues)
+    reach = mp.prec * math.log(2)
+
+    def cost(t):
+        t = float(mpf(t))
+        return bisect.bisect_right(lams, reach / t if t > 0 else math.inf)
+
+    costs = [cost(t) for t in points]
+    child, child_load, caller_load = set(), 0, 0
+    for i in sorted(range(len(points)), key=lambda i: -costs[i]):
+        if child_load <= caller_load:
+            child.add(i)
+            child_load += costs[i]
+        else:
+            caller_load += costs[i]
+    return child
 
 
 def linear_spectrum_ratio_limit():

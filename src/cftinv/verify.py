@@ -3,8 +3,7 @@ check.
 
 A :class:`Battery` collects one row per identity: its name, PASS or FAIL,
 the measured deviation and the tolerance, or a FAIL row carrying the error
-when a check cannot be computed.  Each ``battery_*`` function appends its
-rows to a battery and returns nothing:
+when a check cannot be computed.  The batteries (:data:`BATTERIES`):
 
 - ``modular``: S is symmetric and orthogonal, (ST)^3 = S^2, S^2 is the
   charge-conjugation permutation, S_00 = mu^{-1/2}, and Verlinde fusion is
@@ -22,43 +21,56 @@ rows to a battery and returns nothing:
   dimensions;
 - ``bridge``: the black-hole dictionary.
 
-The ``appendix-c`` battery, which is also the whole of ``cftinv lab``, runs
-on two lanes: the calling process and one child made with ``os.fork``.  Its
-rows are pure-Python mpmath arithmetic, so threads would share one core,
-and a fork needs no import or pickled input in the child: the child starts
-with the caller's precision, inputs and code.  The caller first draws every
-random density from the battery's seeded generator, in the order the rows
-have always drawn them; the row groups are then tasks that read no
-generator (:func:`_appendix_c_tasks`).  The child runs a fixed set of
-them and the caller the rest, so each lane does the same work on every run
-(a tracer in the caller counts the same calls each time).  Each lane keeps
-its own copy of the battery's :func:`~cftinv.lab.shared_spectra` memo; no
-density is read by tasks of both lanes, so none is decomposed twice.  The
-caller replays the rows in report order, so the bytes are those of running
-the rows one by one; if a task raised, the rows before it are kept and its
-exception is raised again.  Where ``os.fork`` is missing or fails, fewer than two CPUs are
-usable or another thread is running, the tasks run in the caller, one
-after another: the same rows, and the reference the tests compare the
-lanes with.
+``verify`` and ``lab`` run on two lanes (:mod:`cftinv.lanes`): the calling
+process and one child made with ``os.fork``.  :func:`run_batteries`
+(``verify``) builds one list of the selected batteries' tasks in report
+order and forks once; :func:`battery_appendix_c` (``lab``) does the same
+for the lab battery alone.  A task is a row group that appends its rows to
+the battery it is given.  The tasks, and the lane table
+:data:`CHILD_TASKS` of those the child runs:
 
-:func:`run_batteries` runs the selected batteries in report order, builds
-the model's modular data once for the two batteries that read it, and turns
-a :class:`~cftinv.errors.ToolkitError` that ends a battery into a
-``<name>-battery`` FAIL row after the rows so far.
+- ``modular``, ``characters``, ``bridge``: one task each, in the caller,
+  so the model's modular data is built, and the character caches kept, in
+  the caller;
+- ``virasoro``: one task per cover embedding, n = 1..4, then the Jacobi,
+  free-energy and shift rows; the child runs n = 1 and 2;
+- ``fock``: the 20 brute-force cases, then the Fermi ratio scan; the child
+  runs the scan;
+- ``appendix-c``: residual calls 1, 2 and 3 (the third also does the
+  inverse row), cocycles, index product with the symmetric split, Araki vs
+  oracle with Pimsner-Popa, KMS with reconstruction; the child runs
+  residual calls 1 and 2 and the entropy rows.
+
+Every random input is drawn while the list is built, before the fork, in
+the order the rows have always drawn them (the fock cases and the lab's
+densities, each from its battery's seeded generator), so no task reads a
+generator.  The split is fixed, so each lane does the same work on every
+run.  The lab's shared-spectra memo (:func:`cftinv.lab.shared_spectra`)
+is one copy per lane; no density is read by tasks of both lanes, so none
+is decomposed twice.
+
+The caller replays the rows in report order, so the bytes are those of
+running the tasks one by one.  A :class:`~cftinv.errors.ToolkitError`
+that ends a task gives its battery's rows so far and a ``<name>-battery``
+FAIL row; the battery's later tasks report nothing, even if the other lane
+ran them, and the later batteries report as usual.  Any other exception,
+and under ``lab`` every exception, is raised again after the rows before
+it.  Where ``os.fork`` is missing or fails, fewer than two CPUs are usable
+or another thread is running, the tasks run in the caller, one after
+another, and a battery's tasks after one that raised never run: the same
+rows, and the reference the tests compare the lanes with.
 """
 
 from __future__ import annotations
 
 import functools
-import os
 import random
-import threading
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from mpmath import mp, mpf, pi, log, sqrt, exp
 
-from . import bridge, characters, fock, lab, modular_data, virasoro
+from . import bridge, characters, fock, lab, lanes, modular_data, virasoro
 from .errors import ToolkitError
 from .reports import decstr
 
@@ -141,90 +153,88 @@ def battery_characters(b: Battery, md: modular_data.ModularData, cutoff: int):
     b.check(f"dual-path-eval-m{m}", abs(direct - small), "1e-30")
 
 
-def battery_virasoro(b: Battery):
-    for n in (1, 2, 3, 4):
-        try:
-            virasoro.verify_embedding(n, 20)
-            b.check(f"embedding-exact-n{n}", 0, 0)
-        except ToolkitError as exc:
-            b.record_error(f"embedding-exact-n{n}", exc)
-    bad = 0
-    for (i, j, k) in [(-3, 1, 2), (5, -2, -3), (0, 4, -4), (2, 2, -1)]:
-        if virasoro.jacobi_residual(virasoro.L(i), virasoro.L(j),
-                                    virasoro.L(k)) != virasoro.ZERO:
-            bad += 1
-    b.check("jacobi-exact-sample", bad, 0)
-    fe = virasoro.free_energy(Fraction(1, 2), 2)
-    b.check("free-energy-c-half-n2", abs(fe.f_n - pi / 16), "1e-40")
-    shift_ok = 0 if virasoro.generator_shift(Fraction(1, 2), 2) == fe.f_n_over_2pi else 1
-    b.check("a2-shift-equals-Fn", shift_ok, 0)
+def _virasoro_tasks():
+    """The virasoro battery as five tasks: one per cover embedding, then
+    the Jacobi, free-energy and shift rows."""
+    def embedding(n):
+        def task(b):
+            try:
+                virasoro.verify_embedding(n, 20)
+                b.check(f"embedding-exact-n{n}", 0, 0)
+            except ToolkitError as exc:
+                b.record_error(f"embedding-exact-n{n}", exc)
+        return task
+
+    def identities(b):
+        bad = 0
+        for (i, j, k) in [(-3, 1, 2), (5, -2, -3), (0, 4, -4), (2, 2, -1)]:
+            if virasoro.jacobi_residual(virasoro.L(i), virasoro.L(j),
+                                        virasoro.L(k)) != virasoro.ZERO:
+                bad += 1
+        b.check("jacobi-exact-sample", bad, 0)
+        fe = virasoro.free_energy(Fraction(1, 2), 2)
+        b.check("free-energy-c-half-n2", abs(fe.f_n - pi / 16), "1e-40")
+        shift_ok = 0 if virasoro.generator_shift(Fraction(1, 2), 2) == fe.f_n_over_2pi else 1
+        b.check("a2-shift-equals-Fn", shift_ok, 0)
+
+    return [embedding(n) for n in (1, 2, 3, 4)] + [identities]
 
 
-def battery_fock(b: Battery, seed: int, corrupt_sign: bool = False):
+def _fock_tasks(seed: int, corrupt_sign: bool = False):
+    """The fock battery as two tasks: the 20 brute-force cases, drawn here
+    from the battery's generator (``corrupt_sign`` flips the sign as a
+    negative control), then the Fermi ratio scan."""
     rng = random.Random(seed)
-    worst = mpf(0)
-    for case in range(20):
+    cases = []
+    for _ in range(20):
         d = rng.randint(1, 4)
-        lams = [mpf(decstr(rng.uniform(0.05, 0.8), 15)) for _ in range(d)]
-        a = fock.contraction(*lams)
-        for stats in ("bose", "fermi"):
-            closed = fock.gamma_trace(a, stats)
-            if corrupt_sign:
-                # deliberately flip the log-form sign: a built-in negative control
-                closed = exp(-fock.log_gamma_trace(a, stats))
-            cut = {1: 120, 2: 60, 3: 24, 4: 14}[d]
-            bf = fock.gamma_trace_bruteforce(a, stats, cut)
-            excess = abs(closed - bf.value) - (bf.tail_bound + bf.rounding)
-            worst = max(worst, excess)
-    b.check("fock-det-vs-bruteforce", worst, "1e-25")
-    h = fock.positive(*range(1, 2001))
-    try:
-        rows = fock.fermi_ratio_scan(h, ["1", "0.5", "0.1", "0.05", "0.01"])
-        b.check("fermi-ratio-two-sided-bound", 0, 0)
-        target = fock.linear_spectrum_ratio_limit()
-        b.check("fermi-ratio-pi^2/12", abs(rows[-1].ratio - target), "0.01")
-    except ToolkitError as exc:
-        b.record_error("fermi-ratio-two-sided-bound", exc)
+        cases.append([mpf(decstr(rng.uniform(0.05, 0.8), 15)) for _ in range(d)])
+
+    def bruteforce(b):
+        worst = mpf(0)
+        for lams in cases:
+            a = fock.contraction(*lams)
+            for stats in ("bose", "fermi"):
+                closed = fock.gamma_trace(a, stats)
+                if corrupt_sign:
+                    # deliberately flip the log-form sign: a built-in negative control
+                    closed = exp(-fock.log_gamma_trace(a, stats))
+                cut = {1: 120, 2: 60, 3: 24, 4: 14}[len(lams)]
+                bf = fock.gamma_trace_bruteforce(a, stats, cut)
+                excess = abs(closed - bf.value) - (bf.tail_bound + bf.rounding)
+                worst = max(worst, excess)
+        b.check("fock-det-vs-bruteforce", worst, "1e-25")
+
+    def scan(b):
+        h = fock.positive(*range(1, 2001))
+        try:
+            rows = fock.fermi_ratio_scan(h, ["1", "0.5", "0.1", "0.05", "0.01"])
+            b.check("fermi-ratio-two-sided-bound", 0, 0)
+            target = fock.linear_spectrum_ratio_limit()
+            b.check("fermi-ratio-pi^2/12", abs(rows[-1].ratio - target), "0.01")
+        except ToolkitError as exc:
+            b.record_error("fermi-ratio-two-sided-bound", exc)
+
+    return [bruteforce, scan]
 
 
 def battery_appendix_c(b: Battery, dims, seed: int):
-    """The matrix lab's rows, run on two lanes (module docstring).  Within
-    a lane each density is decomposed once (:func:`cftinv.lab.shared_spectra`);
-    the spectra are dropped when the battery returns or raises."""
+    """The matrix lab's rows (the body of ``cftinv lab``), on two lanes
+    (module docstring); the first exception a task raises is raised again
+    after the rows before it.  Within a lane each density is decomposed
+    once (:func:`cftinv.lab.shared_spectra`); the spectra are dropped when
+    the battery returns or raises."""
     with lab.shared_spectra():
-        _appendix_c_rows(b, dims, seed)
-
-
-def _appendix_c_rows(b: Battery, dims, seed: int):
-    tasks, child = _appendix_c_tasks(dims, seed)
-    outcomes = (_run_forked(tasks, child) if _lanes_available()
-                else _run_in_process(tasks))
-    pairs = []
-    for rows, exc in outcomes:
-        for row in rows:
-            if not isinstance(row, tuple):
-                b.results.append(row)
-                continue
-            # a residual call's (r1, r2); the row folds the three in call order
-            pairs.append(row)
-            if len(pairs) == 3:
-                worst1 = worst2 = mpf(0)
-                for r1, r2 in pairs:
-                    worst1, worst2 = max(worst1, r1), max(worst2, r2)
-                b.check("spatial-derivative-implements", max(worst1, worst2),
-                        "1e-18")
-        if exc is not None:
-            # the rows before it stand, as when the rows ran one by one
+        for _, exc in _replay(b, [("appendix-c", _appendix_c_tasks(dims, seed))]):
             raise exc
 
 
 def _appendix_c_tasks(dims, seed: int):
-    """The battery's row groups as tasks in report order, and the indices
-    of those the forked child runs.  Every random input is drawn here, in
-    the order the rows have always drawn them, so no task reads the
-    generator.
-    A task appends its rows to the battery it is given; a residual call
-    appends its (r1, r2) pair, which :func:`_appendix_c_rows` folds."""
+    """The battery's row groups as seven tasks in report order.  Every
+    random input is drawn here, in the order the rows have always drawn
+    them, so no task reads the generator.
+    A residual call appends its (r1, r2) pair, which :func:`_replay`
+    folds."""
     d1, d2, d3 = dims
     triple = lab.FiniteFactorTriple(d1, d2, d3)
     rng = random.Random(seed)
@@ -311,106 +321,8 @@ def _appendix_c_tasks(dims, seed: int):
         sub.check("reconstruction-flow-restriction",
                   lab.reconstruction_flow_residual(triple, rho_recon), "1e-16")
 
-    tasks = [residual(0), residual(1), residual(2), cocycles, index, entropy,
-             kms]
-    # The child runs residual calls 1 and 2 and the entropy rows; the caller
-    # the third call with the inverse, the cocycles, the index product and
-    # KMS.  Serial task times (s, mean of two runs at 50 digits) put the
-    # lanes at child/caller 0.16/0.10 (2,2,2), 0.16/0.12 (2,3,2), 0.27/0.17
-    # (2,3,4), 0.75/0.92 (3,4,3) and 2.99/3.43 (4,4,4).  Its busier lane is
-    # at most 1.22 times an even split over these dims, and no split of the
-    # seven tasks does better at its worst.  Run on two lanes (median of 5,
-    # in one process), it was the fastest of six candidate splits at 3,4,3
-    # and within 4% of the fastest at 2,2,2, 2,3,2 and 2,3,4.  The split is
-    # fixed, not claimed at run time, so that both lanes do the same work on
-    # every run.
-    return tasks, (0, 1, 5)
-
-
-def _lanes_available() -> bool:
-    """A second lane helps only with a second usable CPU, and a fork is
-    safe only while this process runs one thread."""
-    if not hasattr(os, "fork"):
-        return False
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:
-        cpus = os.cpu_count() or 1
-    return cpus >= 2 and threading.active_count() == 1
-
-
-def _outcome(task):
-    """(rows, exception or None) of one task, run on a battery of its own."""
-    sub = Battery()
-    try:
-        task(sub)
-    except Exception as exc:
-        return sub.results, exc
-    return sub.results, None
-
-
-def _run_in_process(tasks):
-    """The tasks one after another in the caller, in task order, up to and
-    including the first that raises: the reference for the forked lanes."""
-    outcomes = []
-    for task in tasks:
-        outcomes.append(_outcome(task))
-        if outcomes[-1][1] is not None:
-            break
-    return outcomes
-
-
-def _run_forked(tasks, child):
-    """The tasks on two lanes: a forked child runs those whose indices are
-    in ``child``, the caller the others.  The child sends its outcomes
-    pickled through a pipe and ends with ``os._exit``, so it never returns
-    into the caller's stack or flushes inherited buffers.
-    On every exit the child is reaped, and killed first if it is still
-    running; a child that ends without sending its outcomes raises
-    :class:`~cftinv.errors.ToolkitError`."""
-    import pickle
-    import signal
-
-    results, sink = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(results)
-        os.close(sink)
-        return _run_in_process(tasks)
-    if pid == 0:
-        code = 1
-        try:
-            os.close(results)
-            data = memoryview(pickle.dumps(
-                {i: _outcome(tasks[i]) for i in child}))
-            while data:
-                data = data[os.write(sink, data):]
-            code = 0
-        finally:
-            os._exit(code)
-    os.close(sink)
-    reaped = False
-    try:
-        done = {i: _outcome(task) for i, task in enumerate(tasks)
-                if i not in child}
-        chunks = []
-        while chunk := os.read(results, 1 << 16):
-            chunks.append(chunk)
-        status = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped = True
-        if status != 0:
-            how = (f"killed by signal {-status}" if status < 0
-                   else f"exit status {status}")
-            raise ToolkitError("the lab battery's second lane ended without "
-                               f"its rows ({how})")
-        done.update(pickle.loads(b"".join(chunks)))
-    finally:
-        os.close(results)
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    return [done[i] for i in range(len(tasks))]
+    return [residual(0), residual(1), residual(2), cocycles, index, entropy,
+            kms]
 
 
 def battery_bridge(b: Battery):
@@ -435,15 +347,41 @@ def battery_bridge(b: Battery):
             abs(exp(cells.entropy) - cells.degrees) / cells.degrees, "1e-10")
 
 
-#: The batteries in report order: name -> run(battery, cfg, md, corrupt_sign),
-#: where ``md()`` returns the modular data of model ``cfg.m``.
+#: The batteries in report order: name -> tasks(cfg, md, corrupt_sign), the
+#: battery's tasks in report order, where ``md()`` returns the modular data
+#: of model ``cfg.m``.  A task appends its rows to the battery it is given.
 BATTERIES = {
-    "modular": lambda b, cfg, md, corrupt: battery_modular(b, md()),
-    "characters": lambda b, cfg, md, corrupt: battery_characters(b, md(), cfg.cutoff),
-    "virasoro": lambda b, cfg, md, corrupt: battery_virasoro(b),
-    "fock": lambda b, cfg, md, corrupt: battery_fock(b, cfg.seed, corrupt_sign=corrupt),
-    "appendix-c": lambda b, cfg, md, corrupt: battery_appendix_c(b, cfg.dims, cfg.seed),
-    "bridge": lambda b, cfg, md, corrupt: battery_bridge(b),
+    "modular": lambda cfg, md, corrupt: [lambda b: battery_modular(b, md())],
+    "characters": lambda cfg, md, corrupt: [
+        lambda b: battery_characters(b, md(), cfg.cutoff)],
+    "virasoro": lambda cfg, md, corrupt: _virasoro_tasks(),
+    "fock": lambda cfg, md, corrupt: _fock_tasks(cfg.seed, corrupt),
+    "appendix-c": lambda cfg, md, corrupt: _appendix_c_tasks(cfg.dims, cfg.seed),
+    "bridge": lambda cfg, md, corrupt: [battery_bridge],
+}
+
+#: The lane table: for each battery, the indices of its tasks that the
+#: forked child runs; the caller runs the others.
+CHILD_TASKS = {
+    # The first two cover embeddings and the ratio scan.  Serial task times
+    # (s, median of 7 at 50 digits, seeds of the verify_all benchmark): an
+    # embedding 0.044-0.052, the brute-force cases 0.108, the scan 0.125,
+    # modular and characters 0.036.  With the lab's split below this puts
+    # the lanes at child/caller 0.38/0.37 at the default dims 2,3,2 and
+    # 0.95/1.04 at 3,4,3; the whole virasoro battery in the child would
+    # give 0.36/0.40 and 0.92/1.07.
+    "virasoro": (0, 1),
+    "fock": (1,),
+    # Residual calls 1 and 2 and the entropy rows; the caller runs the third
+    # call with the inverse, the cocycles, the index product and KMS.
+    # Serial task times (s, mean of two runs at 50 digits) put the lanes at
+    # child/caller 0.16/0.10 (2,2,2), 0.16/0.12 (2,3,2), 0.27/0.17 (2,3,4),
+    # 0.75/0.92 (3,4,3) and 2.99/3.43 (4,4,4).  Its busier lane is at most
+    # 1.22 times an even split over these dims, and no split of the seven
+    # tasks does better at its worst.  Run on two lanes (median of 5, in
+    # one process), it was the fastest of six candidate splits at 3,4,3
+    # and within 4% of the fastest at 2,2,2, 2,3,2 and 2,3,4.
+    "appendix-c": (0, 1, 5),
 }
 
 
@@ -455,13 +393,48 @@ def run_batteries(cfg, names, corrupt_sign: bool = False) -> Battery:
     gets its own FAIL row."""
     md = functools.cache(lambda: modular_data.modular_matrices(
         modular_data.build_minimal_model(cfg.m)))
+    batteries = [(name, tasks(cfg, md, corrupt_sign))
+                 for name, tasks in BATTERIES.items() if name in names]
     b = Battery()
-    for name, run in BATTERIES.items():
-        if name not in names:
-            continue
-        try:
-            run(b, cfg, md, corrupt_sign)
-        except ToolkitError as exc:
+    with lab.shared_spectra():
+        for name, exc in _replay(b, batteries):
+            if not isinstance(exc, ToolkitError):
+                raise exc
             # the report keeps the rows so far and this FAIL row
             b.record_error(f"{name}-battery", exc)
     return b
+
+
+def _replay(b: Battery, batteries):
+    """Run the tasks of ``batteries``, (name, tasks) pairs in report order,
+    on the lanes of :data:`CHILD_TASKS`, and append their rows to ``b`` in
+    report order.  Yields (name, exception) for each task that raised,
+    after its rows; the battery's later tasks are then skipped (in process
+    they never run, and the child's rows are dropped)."""
+    named = [(name, i, task) for name, tasks in batteries
+             for i, task in enumerate(tasks)]
+    outcome = lanes.run(
+        [lambda rows, task=task: task(Battery(rows)) for _, _, task in named],
+        {k for k, (name, i, _) in enumerate(named)
+         if i in CHILD_TASKS.get(name, ())})
+    failed = None
+    pairs = []
+    for k, (name, _, _) in enumerate(named):
+        if name == failed:
+            continue
+        rows, exc = outcome(k)
+        for row in rows:
+            if not isinstance(row, tuple):
+                b.results.append(row)
+                continue
+            # a residual call's (r1, r2); the row folds the three in call order
+            pairs.append(row)
+            if len(pairs) == 3:
+                worst1 = worst2 = mpf(0)
+                for r1, r2 in pairs:
+                    worst1, worst2 = max(worst1, r1), max(worst2, r2)
+                b.check("spatial-derivative-implements", max(worst1, worst2),
+                        "1e-18")
+        if exc is not None:
+            failed = name
+            yield name, exc

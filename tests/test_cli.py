@@ -326,6 +326,29 @@ def test_zero_and_non_finite_inputs_are_usage_errors(capsys, argv):
     assert err.count("\n") == 1 and json.loads(err)["exit"] == 1
 
 
+def test_sector_exponent_refused_before_parsing(capsys, monkeypatch):
+    """A weight with an exponent is a usage error before Fraction expands
+    it (``1e99999999`` would build a 100-million-digit integer); weights
+    written as p/q, integers and decimals still resolve."""
+    import cftinv.cli as cli
+
+    def never(*args):
+        raise AssertionError("a model was built for an exponent weight")
+
+    for argv in (("characters", "--sector", "1e99999999", "--dump"),
+                 ("invariants", "--sector", "2E-99999999"),
+                 ("characters", "--sector", "3e0")):
+        monkeypatch.setattr(cli.modular_data, "build_minimal_model", never)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == "" and err.count("\n") == 1
+        assert "without an exponent" in json.loads(err)["error"]
+        monkeypatch.undo()
+    for sector in ("1/2", "0.5", "vacuum"):
+        code, out, _ = run(capsys, "characters", "--sector", sector, "--dump",
+                           "--cutoff", "10")
+        assert code == 0 and out.startswith("1\n")
+
+
 def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
     import cftinv.cli as cli
     from cftinv import lab, verify
@@ -333,7 +356,7 @@ def test_dims_limit_refused_before_any_work(capsys, monkeypatch):
     def never(*args):
         raise AssertionError("the lab battery ran past the --dims limit")
 
-    monkeypatch.setattr(verify, "battery_appendix_c", never)
+    monkeypatch.setattr(verify, "_appendix_c_tasks", never)
     for argv in (("lab", "--dims", "5,13,1"),
                  ("verify", "--appendix-c", "--dims", "5,13,1")):
         code, out, err = run(capsys, *argv)

@@ -410,7 +410,7 @@ def test_battery_decomposes_each_input_once(monkeypatch):
     """Within ``battery_appendix_c`` at 3,4,3 every eigendecomposition is
     of an input not decomposed before, and no shared spectrum is changed
     by the callers it is handed to."""
-    from cftinv import verify
+    from cftinv import lanes, verify
     keys = []
     made = []
     real = lab.eighe
@@ -425,7 +425,7 @@ def test_battery_decomposes_each_input_once(monkeypatch):
 
     monkeypatch.setattr(lab, "eighe", recorded)
     # in process: a forked lane's decompositions are not seen here
-    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
+    monkeypatch.setattr(lanes, "_lanes_available", lambda: False)
     b = verify.Battery()
     verify.battery_appendix_c(b, (3, 4, 3), 7)
     assert b.all_pass
@@ -438,7 +438,7 @@ def test_battery_decomposes_each_input_once(monkeypatch):
 
 
 def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
-    from cftinv import verify
+    from cftinv import lanes, verify
     seen = []
 
     def boom(*args, **kwargs):
@@ -446,7 +446,7 @@ def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
         raise RuntimeError("boom")
 
     # in process: a forked lane's memo is not seen here
-    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
+    monkeypatch.setattr(lanes, "_lanes_available", lambda: False)
     verify.battery_appendix_c(verify.Battery(), (2, 2, 2), 3)
     assert lab._shared is None
     monkeypatch.setattr(lab, "index_product", boom)
@@ -459,7 +459,7 @@ def test_shared_spectra_dropped_on_return_and_raise(monkeypatch):
 def test_repeated_lab_commands_decompose_alike(monkeypatch, capsys):
     """Two identical ``lab`` commands in one process share nothing: each
     makes the same decompositions and prints the same bytes."""
-    from cftinv import verify
+    from cftinv import lanes
     from cftinv.cli import main
     calls = [0]
     real = lab.eighe
@@ -470,7 +470,7 @@ def test_repeated_lab_commands_decompose_alike(monkeypatch, capsys):
 
     monkeypatch.setattr(lab, "eighe", counted)
     # in process: a forked lane's decompositions are not counted here
-    monkeypatch.setattr(verify, "_lanes_available", lambda: False)
+    monkeypatch.setattr(lanes, "_lanes_available", lambda: False)
     runs = []
     for _ in range(2):
         before = calls[0]
